@@ -835,6 +835,7 @@ void FuzzService::SnapshotProgressLocked(JobRecord* r) {
   r->progress.parents_in_flight = p.parents_in_flight;
   r->progress.inflight_executions = p.inflight_executions;
   r->progress.code_cache = p.code_cache;
+  r->progress.prefix_cache = p.prefix_cache;
   r->progress.heap_allocs = p.heap_allocs;
   r->progress.wave_allocs = p.wave_allocs;
   r->progress.wave_executions = p.wave_executions;
@@ -877,6 +878,7 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
     p.bugs_found = result.bugs.size();
     p.cancelled = result.cancelled;
     p.code_cache = result.code_cache;
+    p.prefix_cache = result.prefix_cache;
     p.round_index =
         r->group != nullptr ? r->group->migration_rounds : r->rounds;
   }

@@ -136,6 +136,9 @@ struct JobProgress {
   /// Code-cache counters of the job's backend at snapshot time (process-wide
   /// cache by default — diagnostics, not part of any reproducibility key).
   evm::CodeCacheStats code_cache;
+  /// Transactions the job's backend executed vs. served from its prefix
+  /// cache (diagnostics, like `code_cache`).
+  evm::PrefixCacheStats prefix_cache;
   /// MUFUZZ_ALLOC_STATS counters (all zero when the hook is compiled out):
   /// heap allocations since the campaign reached steady state, and the most
   /// recent pipeline sweep's allocation / execution deltas. Process-wide

@@ -303,6 +303,12 @@ CodeCacheStats AsyncBackendAdapter::code_cache_stats() const {
   return total;
 }
 
+PrefixCacheStats AsyncBackendAdapter::prefix_cache_stats() const {
+  PrefixCacheStats total;
+  for (const Worker& w : workers_) total += w.backend->prefix_cache_stats();
+  return total;
+}
+
 const WorldState& AsyncBackendAdapter::state() const {
   CheckBound("state");
   return workers_.front().backend->state();

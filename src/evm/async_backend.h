@@ -34,9 +34,9 @@ class AsyncBackendAdapter;
 /// with any number of batches outstanding per adapter: a campaign running
 /// a speculative K-parent round keeps K tickets in flight at once, and the
 /// hub freely interleaves their jobs (and other campaigns') across its
-/// workers — every plan rewinds its replica to the deployed journal mark
-/// before executing, so per-child state is an isolated journal fork and
-/// cross-wave ordering can never leak into outcomes.
+/// workers — every plan executes on its replica as if rewound to the
+/// deployed journal mark, so per-child state is an isolated journal fork
+/// and cross-wave ordering can never leak into outcomes.
 ///
 /// Lifetime: the hub must outlive every adapter bound to it, and all
 /// adapters must be idle (every ticket redeemed) at destruction.
@@ -187,6 +187,8 @@ class AsyncBackendAdapter : public ExecutionBackend {
   /// snapshot — but a config that gives workers private caches used to have
   /// every non-worker-0 counter silently dropped here.
   CodeCacheStats code_cache_stats() const override;
+  /// Summed over the replicas (each caches the plans it executed).
+  PrefixCacheStats prefix_cache_stats() const override;
 
   /// Worker 0's world state. Setup ops fan out identically, but after
   /// execution each worker carries the residue of the last plan it

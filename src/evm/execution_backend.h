@@ -1,6 +1,7 @@
 #ifndef MUFUZZ_EVM_EXECUTION_BACKEND_H_
 #define MUFUZZ_EVM_EXECUTION_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -98,9 +99,28 @@ struct SequenceOutcome {
   }
 };
 
+/// Transactions a backend ran through the interpreter versus served from
+/// its prefix cache (see SessionBackend). Diagnostics only: reuse depends
+/// on which plans shared a thread, never on what outcomes say.
+struct PrefixCacheStats {
+  uint64_t executed_txs = 0;
+  /// Outcomes served from the cache instead of executing.
+  uint64_t served_txs = 0;
+  /// Of served_txs, those whose world state was rebuilt by replaying a
+  /// recorded delta (the rest were already on the journal's path).
+  uint64_t replayed_txs = 0;
+
+  PrefixCacheStats& operator+=(const PrefixCacheStats& o) {
+    executed_txs += o.executed_txs;
+    served_txs += o.served_txs;
+    replayed_txs += o.replayed_txs;
+    return *this;
+  }
+};
+
 /// The execution substrate a fuzzing campaign drives: deploy once, mark the
-/// deployed state, then execute arbitrarily many sequence plans, each from a
-/// fresh rewind of the mark. Pulling this behind an interface keeps the
+/// deployed state, then execute arbitrarily many sequence plans, each as if
+/// from a fresh rewind of the mark. Pulling this behind an interface keeps the
 /// fuzzer layer ignorant of how state is hosted (an in-process ChainSession,
 /// a pool of worker sessions behind a queue, or an out-of-process EVM later)
 /// and lets worker pools recycle sessions between jobs.
@@ -111,10 +131,10 @@ struct SequenceOutcome {
 /// gone from this interface — that contract cannot survive concurrency.
 ///
 /// Ordering contract: ExecuteSequenceBatch and SubmitBatch/WaitBatch return
-/// outcomes in submission order, and every plan is executed in isolation
-/// (rewound to the MarkDeployed point, host re-armed via OnSequenceStart),
-/// so the outcome of plan i is independent of the other plans in the batch,
-/// of batch boundaries, and of which worker executes it.
+/// outcomes in submission order, and every plan is executed as if rewound
+/// to the MarkDeployed point (host re-armed via OnSequenceStart), so the
+/// outcome of plan i is independent of the other plans in the batch, of
+/// batch boundaries, and of which worker executes it.
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -150,9 +170,10 @@ class ExecutionBackend {
   /// proportional to the state touched since the mark (journal unwind).
   virtual void Rewind() = 0;
 
-  /// Executes one plan from a fresh rewind: arms the host
+  /// Executes one plan as if from a fresh rewind: arms the host
   /// (OnSequenceStart(plan.host_seed), then OnTransactionStart per tx) and
   /// applies each transaction, collecting a self-contained outcome.
+  /// Executing before MarkDeployed marks the current state implicitly.
   virtual SequenceOutcome ExecuteSequence(const SequencePlan& plan) = 0;
 
   /// Executes one plan into a caller-provided outcome slot, reusing its heap
@@ -209,6 +230,9 @@ class ExecutionBackend {
   /// one, so hits/misses aggregate across every session sharing it.
   virtual CodeCacheStats code_cache_stats() const { return {}; }
 
+  /// Prefix-cache counters since Bind (zeros for backends without one).
+  virtual PrefixCacheStats prefix_cache_stats() const { return {}; }
+
   virtual const WorldState& state() const = 0;
 
  protected:
@@ -242,6 +266,28 @@ class ExecutionBackend {
 /// Bind() reconstructs the session in place, so one SessionBackend can serve
 /// many campaigns back to back without reallocation churn at the call sites
 /// that hold it.
+///
+/// Prefix cache. Mutated siblings share most of their parent's transaction
+/// prefix, so each plan starts from the deepest cached prefix instead of
+/// the deployed mark:
+///  - A transaction is cached under the full request chain up to it, with
+///    its TxOutcome and a redo delta of its state writes, once that chain
+///    has run twice (most chains never recur, and recording costs a copy).
+///    Serving it copies the outcome and skips the interpreter; the host
+///    still sees OnSequenceStart and one OnTransactionStart per transaction.
+///  - Only a prefix that never reached the host (no CallEvent with
+///    `to_external`) is cached: anything past a host call depends on the
+///    plan's host seed.
+///  - The journal keeps a snapshot after each cached transaction of the
+///    last plan. A prefix off that path restores the deepest common
+///    snapshot and replays the remaining deltas through the journaled
+///    setters, so the next restore undoes them like executed writes.
+///  - Nodes live in a per-thread arena of 256 KB (2048 compact headers
+///    and a 192 KB record heap) that is flushed when full. A backend owns
+///    it by a generation id, bumped on Bind/Unbind/DeployContract/
+///    FundAccount/MarkDeployed/Rewind and on every claim, so a stale arena
+///    never matches. Memory scales with executing threads, not with
+///    leased backends.
 class SessionBackend : public ExecutionBackend {
  public:
   /// Constructs an unbound backend (the pool path); call Bind() before use.
@@ -272,6 +318,7 @@ class SessionBackend : public ExecutionBackend {
                            SequenceOutcome* out) override;
 
   CodeCacheStats code_cache_stats() const override;
+  PrefixCacheStats prefix_cache_stats() const override;
 
   const WorldState& state() const override;
 
@@ -287,11 +334,32 @@ class SessionBackend : public ExecutionBackend {
   /// Aborts with a diagnostic when used before Bind() — a contract
   /// violation that must not degrade to silent UB in release builds.
   void CheckBound() const;
+  /// Forgets the prefix cache: the next plan claims a flushed arena and
+  /// starts from the deployed mark.
+  void InvalidatePrefixCache();
 
   TraceRecorder trace_;
   Host* host_ = nullptr;
   std::optional<ChainSession> session_;
   ChainSession::SessionSnapshot deployed_{};
+  bool marked_ = false;  ///< MarkDeployed ran since Bind
+
+  /// One cached transaction the journal currently holds, with the
+  /// snapshot taken right after it.
+  struct PathStep {
+    uint32_t node;
+    ChainSession::SessionSnapshot after;
+  };
+  std::vector<PathStep> path_;
+  std::vector<uint32_t> hits_;  ///< scratch: the plan's cached prefix
+  WorldState::Delta delta_;     ///< scratch: the last executed tx's writes
+  std::vector<WorldState::Delta::Write> writes_;  ///< scratch: a replay
+  uint64_t generation_ = 0;     ///< id this backend claims its arena by
+  /// Atomic: progress snapshots may read them while an async worker
+  /// executes a parked wave.
+  std::atomic<uint64_t> executed_txs_{0};
+  std::atomic<uint64_t> served_txs_{0};
+  std::atomic<uint64_t> replayed_txs_{0};
 };
 
 /// Thread-safe pool of reusable SessionBackends. Workers lease a backend for

@@ -54,9 +54,18 @@ ExecResult ChainSession::Apply(const TransactionRequest& tx) {
   interpreter_.set_block(block_);
   ExecResult result = interpreter_.ExecuteTransaction(call);
 
+  AdvanceBlock();
+  return result;
+}
+
+void ChainSession::Replay(std::span<const WorldState::Delta::Write> writes) {
+  state_.ApplyDelta(writes, {});
+  AdvanceBlock();
+}
+
+void ChainSession::AdvanceBlock() {
   block_.number += 1;
   block_.timestamp += 13;
-  return result;
 }
 
 void ChainSession::FundAccount(const Address& addr, const U256& balance) {

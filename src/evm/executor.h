@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "common/address.h"
 #include "common/bytes.h"
@@ -41,6 +42,11 @@ class ChainSession {
   /// +13s), so block-state reads vary across a sequence.
   ExecResult Apply(const TransactionRequest& tx);
 
+  /// Replays a transaction from its recorded state delta instead of
+  /// executing it: applies the writes through the journaled setters, then
+  /// advances the block exactly as Apply() does.
+  void Replay(std::span<const WorldState::Delta::Write> writes);
+
   /// Gives `addr` a balance (fuzzer senders get deep pockets).
   void FundAccount(const Address& addr, const U256& balance);
 
@@ -65,6 +71,10 @@ class ChainSession {
   void Restore(const SessionSnapshot& snap);
 
  private:
+  /// Moves to the next block after a transaction (number +1, timestamp
+  /// +13s); shared by Apply() and Replay().
+  void AdvanceBlock();
+
   WorldState state_;
   Interpreter interpreter_;
   BlockContext block_;

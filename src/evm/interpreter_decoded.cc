@@ -219,7 +219,9 @@ dispatch_top:
 
 // Every handler ends in DISPATCH() (or NEXT(), which advances first) or
 // returns, so control never falls through between handlers in either
-// dispatch flavor.
+// dispatch flavor. A computed goto leaves the handler without running
+// destructors, so a local that owns heap memory must be released, or live
+// in an inner block that closes, before the handler dispatches.
 #define NEXT()   \
   do {           \
     ++ip;        \
@@ -561,15 +563,18 @@ dispatch_top:
   HANDLER(Blockhash) {
     PRELUDE();
     Word n = stack.PopUnsafe();
-    Bytes seed;
-    AppendU64BE(&seed, n.value.low64());
-    auto digest = Keccak256(seed);
+    U256 hash;
+    {
+      Bytes seed;
+      AppendU64BE(&seed, n.value.low64());
+      auto digest = Keccak256(seed);
+      hash = U256::FromBytesBE(BytesView(digest.data(), 32)).value();
+    }
     if (observer_ != nullptr) {
       observer_->OnBlockRead(
           {ins->pc, static_cast<Op>(ins->opcode), call.depth});
     }
-    PUSH_W(Word(U256::FromBytesBE(BytesView(digest.data(), 32)).value(),
-                kTaintBlock));
+    PUSH_W(Word(hash, kTaintBlock));
     NEXT();
   }
 
@@ -931,6 +936,9 @@ dispatch_top:
         return ExecResult{Outcome::kMemoryError, {}, call.gas - gas};
       }
     }
+    // NEXT() skips destructors (see the dispatch comment above).
+    input = Bytes();
+    child_output = Bytes();
     Word status(success ? U256::One() : U256::Zero(), kTaintCallResult);
     status.call_id = call_id;
     PUSH_W(status);

@@ -1,6 +1,7 @@
 #ifndef MUFUZZ_EVM_TRACE_H_
 #define MUFUZZ_EVM_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,8 @@ struct CmpRecord {
   U256 b;
   bool negated = false;
   uint32_t taint = kTaintNone;  ///< union of operand taints
+
+  bool operator==(const CmpRecord&) const = default;
 };
 
 /// Emitted at every JUMPI.
@@ -33,6 +36,8 @@ struct BranchEvent {
   int32_t call_id = -1;     ///< CALL whose status fed the condition, if any
   uint32_t cond_taint = kTaintNone;
   int depth = 0;            ///< call depth
+
+  bool operator==(const BranchEvent&) const = default;
 };
 
 /// Emitted at every CALL / DELEGATECALL / STATICCALL.
@@ -49,6 +54,8 @@ struct CallEvent {
   int depth = 0;
   int32_t call_id = -1;        ///< unique id; status words reference it
   bool caller_guard_seen = false;  ///< a msg.sender check dominated this call
+
+  bool operator==(const CallEvent&) const = default;
 };
 
 /// Emitted at every SSTORE.
@@ -58,6 +65,8 @@ struct StoreEvent {
   U256 value;
   uint32_t value_taint = kTaintNone;
   int depth = 0;
+
+  bool operator==(const StoreEvent&) const = default;
 };
 
 /// Emitted when ADD/SUB/MUL wraps modulo 2^256.
@@ -67,6 +76,8 @@ struct OverflowEvent {
   uint32_t operand_taint = kTaintNone;
   bool result_stored = false;  ///< filled post-hoc if the value reached SSTORE
   int depth = 0;
+
+  bool operator==(const OverflowEvent&) const = default;
 };
 
 /// Emitted at SELFDESTRUCT.
@@ -75,12 +86,16 @@ struct SelfdestructEvent {
   Address beneficiary;
   bool caller_guard_seen = false;
   int depth = 0;
+
+  bool operator==(const SelfdestructEvent&) const = default;
 };
 
 /// Emitted when BALANCE/SELFBALANCE executes.
 struct BalanceReadEvent {
   uint32_t pc = 0;
   int depth = 0;
+
+  bool operator==(const BalanceReadEvent&) const = default;
 };
 
 /// Emitted when a block-state opcode (TIMESTAMP, NUMBER, ...) executes.
@@ -88,6 +103,8 @@ struct BlockReadEvent {
   uint32_t pc = 0;
   Op op = Op::kTimestamp;
   int depth = 0;
+
+  bool operator==(const BlockReadEvent&) const = default;
 };
 
 /// Observer interface the interpreter reports into. The fuzzer installs a
@@ -140,6 +157,8 @@ class TraceRecorder : public ExecObserver {
     uint32_t from;
     uint32_t to;
     int depth;
+
+    bool operator==(const JumpEdge&) const = default;
   };
 
   const std::vector<BranchEvent>& branches() const { return branches_; }
@@ -160,15 +179,7 @@ class TraceRecorder : public ExecObserver {
   uint64_t instruction_count() const { return instruction_count_; }
 
   void Clear() {
-    branches_.clear();
-    jumps_.clear();
-    calls_.clear();
-    stores_.clear();
-    overflows_.clear();
-    selfdestructs_.clear();
-    balance_reads_.clear();
-    block_reads_.clear();
-    checked_calls_.clear();
+    ForEachBuffer([](auto& buffer) { buffer.clear(); });
     instruction_count_ = 0;
   }
 
@@ -190,22 +201,45 @@ class TraceRecorder : public ExecObserver {
     std::swap(instruction_count_, other->instruction_count_);
   }
 
+  /// Calls `fn` on every event buffer, in a fixed order: lets the prefix
+  /// cache store and restore a trace without naming each buffer.
+  template <typename Fn>
+  void ForEachBuffer(Fn&& fn) const {
+    VisitBuffers(*this, fn);
+  }
+  template <typename Fn>
+  void ForEachBuffer(Fn&& fn) {
+    VisitBuffers(*this, fn);
+  }
+  void set_instruction_count(uint64_t count) { instruction_count_ = count; }
+
+  /// Number of buffers ForEachBuffer visits (keep in step with
+  /// VisitBuffers).
+  static constexpr size_t kBufferCount = 9;
+
   /// Shrink-to-reuse hygiene: frees any event buffer whose capacity grew
   /// past `max_events` (a pathological sequence shouldn't pin its peak
   /// footprint in the recycle pools forever). Call after Clear().
   void ShrinkIfOversized(size_t max_events) {
-    if (branches_.capacity() > max_events) branches_.shrink_to_fit();
-    if (jumps_.capacity() > max_events) jumps_.shrink_to_fit();
-    if (calls_.capacity() > max_events) calls_.shrink_to_fit();
-    if (stores_.capacity() > max_events) stores_.shrink_to_fit();
-    if (overflows_.capacity() > max_events) overflows_.shrink_to_fit();
-    if (selfdestructs_.capacity() > max_events) selfdestructs_.shrink_to_fit();
-    if (balance_reads_.capacity() > max_events) balance_reads_.shrink_to_fit();
-    if (block_reads_.capacity() > max_events) block_reads_.shrink_to_fit();
-    if (checked_calls_.capacity() > max_events) checked_calls_.shrink_to_fit();
+    ForEachBuffer([max_events](auto& buffer) {
+      if (buffer.capacity() > max_events) buffer.shrink_to_fit();
+    });
   }
 
  private:
+  template <typename Self, typename Fn>
+  static void VisitBuffers(Self& self, Fn& fn) {
+    fn(self.branches_);
+    fn(self.jumps_);
+    fn(self.calls_);
+    fn(self.stores_);
+    fn(self.overflows_);
+    fn(self.selfdestructs_);
+    fn(self.balance_reads_);
+    fn(self.block_reads_);
+    fn(self.checked_calls_);
+  }
+
   std::vector<BranchEvent> branches_;
   std::vector<JumpEdge> jumps_;
   std::vector<CallEvent> calls_;

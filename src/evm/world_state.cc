@@ -266,6 +266,64 @@ void WorldState::UnwindTo(size_t mark) {
   }
 }
 
+void WorldState::CaptureDelta(size_t journal_pos, Delta* out) const {
+  out->writes_.clear();
+  out->codes_.clear();
+  const Address* last_addr = nullptr;  // runs of entries share an account
+  const Account* last = nullptr;
+  for (size_t i = journal_pos; i < journal_.size(); ++i) {
+    const JournalEntry& e = journal_[i];
+    if (last_addr == nullptr || !(*last_addr == e.addr)) {
+      // Entries above the start mark are never unwound here, so every
+      // account they name still exists.
+      last = &accounts_.at(e.addr);
+      last_addr = &e.addr;
+    }
+    const Account& a = *last;
+    Delta::Write w{e.kind, e.addr, e.key, U256::Zero(), 0};
+    switch (e.kind) {
+      case JournalEntry::Kind::kCreateAccount:
+      case JournalEntry::Kind::kSelfDestructed:
+        break;
+      case JournalEntry::Kind::kBalance:
+        w.word = a.balance;
+        break;
+      case JournalEntry::Kind::kStorage:
+        w.word = a.storage.Load(e.key);
+        w.taint = a.storage.LoadTaint(e.key);
+        break;
+      case JournalEntry::Kind::kCode:
+        out->codes_.push_back(a.code);
+        break;
+    }
+    out->writes_.push_back(w);
+  }
+}
+
+void WorldState::ApplyDelta(std::span<const Delta::Write> writes,
+                            std::span<const Bytes> codes) {
+  size_t code = 0;
+  for (const Delta::Write& w : writes) {
+    switch (w.kind) {
+      case JournalEntry::Kind::kCreateAccount:
+        Touch(w.addr);
+        break;
+      case JournalEntry::Kind::kBalance:
+        SetBalance(w.addr, w.word);
+        break;
+      case JournalEntry::Kind::kStorage:
+        SetStorage(w.addr, w.key, w.word, w.taint);
+        break;
+      case JournalEntry::Kind::kCode:
+        SetCode(w.addr, codes[code++]);
+        break;
+      case JournalEntry::Kind::kSelfDestructed:
+        MarkSelfDestructed(w.addr);
+        break;
+    }
+  }
+}
+
 void WorldState::RevertTo(size_t id) {
   if (id >= marks_.size()) return;
   UnwindTo(marks_[id]);

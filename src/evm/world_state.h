@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -212,6 +213,40 @@ class WorldState {
   /// post-deployment state before every sequence execution.
   void RestoreKeep(size_t id);
 
+  /// Redo log of one journal span: the final value of every field the span
+  /// wrote, in write order. Capture overwrites it in place, so a recycled
+  /// delta keeps its capacity.
+  class Delta {
+   public:
+    /// One redo record (trivially copyable; opaque outside WorldState).
+    struct Write;
+
+    std::span<const Write> writes() const { return writes_; }
+    /// Payloads of the span's code writes, in order (usually none).
+    std::span<const Bytes> codes() const { return codes_; }
+
+   private:
+    friend class WorldState;
+    std::vector<Write> writes_;
+    std::vector<Bytes> codes_;
+  };
+
+  /// Records into `out` the writes journaled since the journal held
+  /// `journal_pos` entries. The span must not have been unwound below
+  /// `journal_pos` since, and a snapshot must have been live throughout
+  /// (otherwise nothing was journaled).
+  void CaptureDelta(size_t journal_pos, Delta* out) const;
+  /// Replays a captured delta through the journaled setters: applied to
+  /// the state the span started from, it rebuilds the span's end state, and
+  /// unwinding to an earlier snapshot undoes it like any other write.
+  void ApplyDelta(const Delta& delta) {
+    ApplyDelta(delta.writes(), delta.codes());
+  }
+  /// Same, from a delta's records copied elsewhere (`codes` may be empty
+  /// when the records hold no code write).
+  void ApplyDelta(std::span<const Delta::Write> writes,
+                  std::span<const Bytes> codes);
+
   size_t account_count() const { return accounts_.size(); }
   /// Undo entries currently recorded (tests/benches observe journal growth).
   size_t journal_size() const { return journal_.size(); }
@@ -257,6 +292,15 @@ class WorldState {
   std::vector<JournalEntry> journal_;
   /// marks_[i] = journal length when snapshot id i was taken.
   std::vector<size_t> marks_;
+};
+
+/// The field a journal entry names, with its final value.
+struct WorldState::Delta::Write {
+  JournalEntry::Kind kind = JournalEntry::Kind::kCreateAccount;
+  Address addr;
+  U256 key;
+  U256 word;
+  uint32_t taint = 0;
 };
 
 }  // namespace mufuzz::evm

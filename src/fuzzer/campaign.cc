@@ -441,6 +441,7 @@ Campaign::Progress Campaign::SnapshotProgress() const {
     progress.parents_in_flight = static_cast<int>(stream_->parents.size());
   }
   progress.code_cache = backend_->code_cache_stats();
+  progress.prefix_cache = backend_->prefix_cache_stats();
   if (steady_base_set_ && AllocStatsEnabled()) {
     progress.heap_allocs = CurrentAllocStats().allocs - steady_alloc_base_;
   }
@@ -452,6 +453,7 @@ Campaign::Progress Campaign::SnapshotProgress() const {
 CampaignResult Campaign::Finalize() {
   result_.cancelled = cancelled_;
   result_.code_cache = backend_->code_cache_stats();
+  result_.prefix_cache = backend_->prefix_cache_stats();
   if (contract_.IsZero()) return result_;
 
   // Canonical finalize view: the last executed plan's residue is

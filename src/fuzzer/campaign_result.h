@@ -8,6 +8,7 @@
 
 #include "analysis/bug_types.h"
 #include "evm/code_cache.h"
+#include "evm/execution_backend.h"
 #include "fuzzer/seed_scheduler.h"
 
 namespace mufuzz::fuzzer {
@@ -49,6 +50,10 @@ struct CampaignResult {
   /// in the process (other campaigns, worker replica count) — which is why
   /// operator== below excludes this field.
   evm::CodeCacheStats code_cache;
+  /// Transactions executed vs. served from the backend's prefix cache,
+  /// sampled at finalization. Diagnostics only, excluded from operator==
+  /// like `code_cache`: reuse depends on which plans shared a thread.
+  evm::PrefixCacheStats prefix_cache;
 
   bool Found(analysis::BugClass bug) const {
     return bug_classes.contains(bug);
@@ -56,8 +61,9 @@ struct CampaignResult {
 
   /// Field-for-field equality over the deterministic fields — what the
   /// determinism tests assert when they compare the serial path against the
-  /// parallel runner. `code_cache` is deliberately excluded: cache traffic
-  /// varies with scheduling and sharing, results must not.
+  /// parallel runner. `code_cache` and `prefix_cache` are deliberately
+  /// excluded: cache traffic varies with scheduling and sharing, results
+  /// must not.
   bool operator==(const CampaignResult& o) const {
     return branch_coverage == o.branch_coverage &&
            user_branch_coverage == o.user_branch_coverage &&

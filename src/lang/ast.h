@@ -85,6 +85,9 @@ struct Expr {
   ExprKind kind;
   int line = 0;
   Type type;  ///< set by Sema
+  /// Levels in this subtree (1 for a leaf); set by the parser, which
+  /// rejects trees deeper than kMaxNestingDepth.
+  int height = 1;
 
   explicit Expr(ExprKind k) : kind(k) {}
   virtual ~Expr() = default;

@@ -1,5 +1,8 @@
 #include "lang/parser.h"
 
+#include <algorithm>
+#include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,6 +68,29 @@ class Parser {
     return Status::ParseError(msg + " at line " +
                               std::to_string(Peek().line));
   }
+  /// Holds one level of parser recursion for its scope.
+  struct Nesting {
+    explicit Nesting(int* depth) : depth(depth) { ++*depth; }
+    ~Nesting() { --*depth; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    int* depth;
+  };
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "nesting exceeds the limit of " + std::to_string(kMaxNestingDepth) +
+        " levels at line " + std::to_string(Peek().line));
+  }
+  /// Sets `e`'s height from its children's and enforces the bound. The
+  /// binary-operator and postfix loops build left-deep trees without
+  /// recursing, so parser depth alone does not bound the tree.
+  Status Seal(Expr* e, std::initializer_list<const Expr*> children) const {
+    for (const Expr* child : children) {
+      if (child != nullptr) e->height = std::max(e->height, child->height + 1);
+    }
+    return e->height > kMaxNestingDepth ? TooDeep() : Status::OK();
+  }
+
   bool CheckTypeKeyword() const {
     return Check(TokenKind::kUint256) || Check(TokenKind::kBool) ||
            Check(TokenKind::kAddress) || Check(TokenKind::kMapping);
@@ -72,6 +98,8 @@ class Parser {
 
   // -------------------------------------------------------------- Types --
   Result<Type> ParseType() {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxNestingDepth) return TooDeep();
     if (Match(TokenKind::kUint256)) return Type::Uint256();
     if (Match(TokenKind::kBool)) return Type::Bool();
     if (Match(TokenKind::kAddress)) return Type::AddressT();
@@ -190,6 +218,8 @@ class Parser {
   }
 
   Result<StmtPtr> ParseStmt() {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxNestingDepth) return TooDeep();
     int line = Peek().line;
     if (Check(TokenKind::kLBrace)) {
       MUFUZZ_ASSIGN_OR_RETURN(auto block, ParseBlock());
@@ -349,14 +379,19 @@ class Parser {
   }
 
   // -------------------------------------------------------- Expressions --
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxNestingDepth) return TooDeep();
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     MUFUZZ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Check(TokenKind::kOrOr)) {
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = MakeBinary(BinOp::kOr, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(lhs, MakeBinary(BinOp::kOr, std::move(lhs),
+                                              std::move(rhs), line));
     }
     return lhs;
   }
@@ -366,7 +401,8 @@ class Parser {
     while (Check(TokenKind::kAndAnd)) {
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseEquality());
-      lhs = MakeBinary(BinOp::kAnd, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(lhs, MakeBinary(BinOp::kAnd, std::move(lhs),
+                                              std::move(rhs), line));
     }
     return lhs;
   }
@@ -377,7 +413,8 @@ class Parser {
       BinOp op = Check(TokenKind::kEq) ? BinOp::kEq : BinOp::kNe;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseRelational());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -392,7 +429,8 @@ class Parser {
       if (Check(TokenKind::kGe)) op = BinOp::kGe;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -403,7 +441,8 @@ class Parser {
       BinOp op = Check(TokenKind::kPlus) ? BinOp::kAdd : BinOp::kSub;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -417,7 +456,8 @@ class Parser {
       if (Check(TokenKind::kPercent)) op = BinOp::kMod;
       int line = Advance().line;
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs), line);
+      MUFUZZ_ASSIGN_OR_RETURN(
+          lhs, MakeBinary(op, std::move(lhs), std::move(rhs), line));
     }
     return lhs;
   }
@@ -426,11 +466,14 @@ class Parser {
     if (Check(TokenKind::kBang) || Check(TokenKind::kMinus)) {
       UnOp op = Check(TokenKind::kBang) ? UnOp::kNot : UnOp::kNeg;
       int line = Advance().line;
+      Nesting nesting(&depth_);
+      if (depth_ > kMaxNestingDepth) return TooDeep();
       MUFUZZ_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       auto expr = std::make_unique<UnaryExpr>();
       expr->op = op;
       expr->operand = std::move(operand);
       expr->line = line;
+      MUFUZZ_RETURN_IF_ERROR(Seal(expr.get(), {expr->operand.get()}));
       return ExprPtr(std::move(expr));
     }
     return ParsePostfix();
@@ -445,6 +488,8 @@ class Parser {
         index->base = std::move(expr);
         MUFUZZ_ASSIGN_OR_RETURN(index->index, ParseExpr());
         MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRBracket));
+        MUFUZZ_RETURN_IF_ERROR(
+            Seal(index.get(), {index->base.get(), index->index.get()}));
         expr = std::move(index);
         continue;
       }
@@ -501,6 +546,7 @@ class Parser {
       auto bal = std::make_unique<BalanceExpr>();
       bal->line = line;
       bal->address = std::move(base);
+      MUFUZZ_RETURN_IF_ERROR(Seal(bal.get(), {bal->address.get()}));
       return ExprPtr(std::move(bal));
     }
     if (member == "transfer" || member == "send") {
@@ -511,6 +557,8 @@ class Parser {
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_ASSIGN_OR_RETURN(xfer->amount, ParseExpr());
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(
+          Seal(xfer.get(), {xfer->target.get(), xfer->amount.get()}));
       return ExprPtr(std::move(xfer));
     }
     if (member == "call") {
@@ -526,6 +574,8 @@ class Parser {
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(
+          Seal(low.get(), {low->target.get(), low->amount.get()}));
       return ExprPtr(std::move(low));
     }
     if (member == "delegatecall") {
@@ -541,6 +591,7 @@ class Parser {
         } while (Match(TokenKind::kComma));
       }
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(Seal(del.get(), {del->target.get()}));
       return ExprPtr(std::move(del));
     }
     return Err("unsupported member '" + member + "'");
@@ -598,6 +649,9 @@ class Parser {
       expr->line = line;
       MUFUZZ_RETURN_IF_ERROR(ParseKeccakArgs(expr.get()));
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      for (const ExprPtr& arg : expr->args) {
+        MUFUZZ_RETURN_IF_ERROR(Seal(expr.get(), {arg.get()}));
+      }
       return ExprPtr(std::move(expr));
     }
     // Casts: uint256(x), address(x).
@@ -610,6 +664,7 @@ class Parser {
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kLParen));
       MUFUZZ_ASSIGN_OR_RETURN(cast->operand, ParseExpr());
       MUFUZZ_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+      MUFUZZ_RETURN_IF_ERROR(Seal(cast.get(), {cast->operand.get()}));
       return ExprPtr(std::move(cast));
     }
     if (Check(TokenKind::kIdent)) {
@@ -629,6 +684,8 @@ class Parser {
 
   /// keccak256 argument list, flattening abi.encodePacked(...).
   Status ParseKeccakArgs(KeccakExpr* expr) {
+    Nesting nesting(&depth_);
+    if (depth_ > kMaxNestingDepth) return TooDeep();
     if (Check(TokenKind::kRParen)) return Status::OK();
     do {
       // abi.encodePacked(a, b, ...) — splice inner args.
@@ -661,13 +718,16 @@ class Parser {
     return nullptr;
   }
 
-  static ExprPtr MakeBinary(BinOp op, ExprPtr lhs, ExprPtr rhs, int line) {
+  Result<ExprPtr> MakeBinary(BinOp op, ExprPtr lhs, ExprPtr rhs,
+                             int line) const {
     auto expr = std::make_unique<BinaryExpr>();
     expr->op = op;
     expr->lhs = std::move(lhs);
     expr->rhs = std::move(rhs);
     expr->line = line;
-    return expr;
+    MUFUZZ_RETURN_IF_ERROR(
+        Seal(expr.get(), {expr->lhs.get(), expr->rhs.get()}));
+    return ExprPtr(std::move(expr));
   }
 
   static Result<ExprPtr> MakeEnv(EnvKind env, int line) {
@@ -679,6 +739,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< live parser recursion levels (see Nesting)
   std::vector<IdentExpr*> magic_bases_;
 };
 

@@ -94,6 +94,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Handlers go in before the readiness line: a supervisor may signal as
+  // soon as it sees that line, and the default action would kill the
+  // daemon without a clean shutdown.
+  std::signal(SIGINT, OnSignal);
+  std::signal(SIGTERM, OnSignal);
+
   mufuzz::server::MufuzzServer server(std::move(options));
   mufuzz::Status st = server.Start();
   if (!st.ok()) {
@@ -105,8 +111,6 @@ int main(int argc, char** argv) {
               server.service().workers());
   std::fflush(stdout);
 
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
   while (!g_stop) {
     timespec ts{0, 100'000'000};  // 100ms — signal latency bound
     nanosleep(&ts, nullptr);

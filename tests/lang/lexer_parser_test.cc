@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "lang/compiler.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -440,6 +443,60 @@ TEST(SemaTest, MsgValueComparableToEtherLiterals) {
       }
     })");
   EXPECT_TRUE(AnalyzeContract(c.get()).ok());
+}
+
+// --------------------------------------------------------- Nesting bound --
+
+/// A one-function contract returning `expr`.
+std::string ReturningExpr(const std::string& expr) {
+  return "contract C { function f() public returns (uint256) { return " +
+         expr + "; } }";
+}
+
+void ExpectNestingLimit(const std::string& source) {
+  auto compiled = CompileContract(source);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(compiled.status().message().find(
+                std::to_string(kMaxNestingDepth)),
+            std::string::npos)
+      << compiled.status().ToString();
+}
+
+TEST(NestingLimitTest, DeepParenthesesAreRejected) {
+  // ~10 KB of source that used to overflow the stack in the parser.
+  ExpectNestingLimit(
+      ReturningExpr(std::string(5000, '(') + "1" + std::string(5000, ')')));
+}
+
+TEST(NestingLimitTest, LongBinaryChainIsRejected) {
+  // The parser builds `1+1+...` in a loop; sema, codegen and the AST
+  // destructor then recurse down its left spine.
+  std::string chain = "1";
+  for (int i = 1; i < 100000; ++i) chain += "+1";
+  ExpectNestingLimit(ReturningExpr(chain));
+}
+
+TEST(NestingLimitTest, OtherDeepShapesAreRejected) {
+  ExpectNestingLimit(ReturningExpr(std::string(5000, '!') + "true"));
+  std::string negations;
+  for (int i = 0; i < 5000; ++i) negations += "- ";  // "--" lexes as one token
+  ExpectNestingLimit(ReturningExpr(negations + "1"));
+  std::string blocks = std::string(5000, '{') + std::string(5000, '}');
+  ExpectNestingLimit("contract C { function f() public " + blocks + " }");
+  // Parenthesized chains nest chains: heights add up across levels.
+  std::string nested = "1";
+  for (int i = 0; i < 100; ++i) nested = "(" + nested + "+1+1+1)";
+  ExpectNestingLimit(ReturningExpr(nested));
+}
+
+TEST(NestingLimitTest, NestingWithinTheLimitCompiles) {
+  std::string chain = "1";
+  for (int i = 1; i < 100; ++i) chain += "+1";
+  EXPECT_TRUE(CompileContract(ReturningExpr(chain)).ok());
+  EXPECT_TRUE(CompileContract(ReturningExpr(std::string(60, '(') + "1" +
+                                            std::string(60, ')')))
+                  .ok());
 }
 
 }  // namespace

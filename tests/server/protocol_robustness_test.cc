@@ -16,6 +16,7 @@
 #include <string>
 
 #include "corpus/builtin.h"
+#include "lang/parser.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -300,6 +301,42 @@ TEST_F(ProtocolSocketTest, CompileFailureIsInBandAndKeepsClientUsable) {
   }
   auto stats = client.Stats();
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+}
+
+TEST_F(ProtocolSocketTest, DeeplyNestedSourceAnswersErrorAndDaemonServes) {
+  MufuzzClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  std::string chain = "1";
+  for (int i = 1; i < 100000; ++i) chain += "+1";
+  // Both used to overflow the compiler's stack and take the daemon down.
+  for (const std::string& expr :
+       {std::string(5000, '(') + "1" + std::string(5000, ')'), chain}) {
+    SubmitRequest request;
+    request.name = "deep";
+    request.source =
+        "contract C { function f() public returns (uint256) { return " +
+        expr + "; } }";
+    auto ticket = client.Submit(request);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    auto outcome = client.Wait(*ticket);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_FALSE(outcome->has_result);
+    EXPECT_NE(outcome->error.find("InvalidArgument"), std::string::npos)
+        << outcome->error;
+    EXPECT_NE(outcome->error.find(std::to_string(lang::kMaxNestingDepth)),
+              std::string::npos)
+        << outcome->error;
+  }
+  // The daemon is still up and serves the next campaign to completion.
+  SubmitRequest next;
+  next.name = corpus::CrowdsaleExample().name;
+  next.source = corpus::CrowdsaleExample().source;
+  next.config.max_executions = 50;
+  auto ticket = client.Submit(next);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  auto outcome = client.Wait(*ticket);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->has_result) << outcome->error;
 }
 
 }  // namespace
