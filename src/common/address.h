@@ -4,6 +4,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/bytes.h"
@@ -56,10 +57,19 @@ struct Address {
   bool operator==(const Address&) const = default;
   auto operator<=>(const Address&) const = default;
 
+  /// Three word loads (bytes 0-7, 8-15, 16-19) folded by a multiply-mix.
+  /// Every account lookup hashes, so this must stay word-wide.
   struct Hasher {
     size_t operator()(const Address& a) const {
-      return static_cast<size_t>(
-          Fnv1a64(BytesView(a.bytes.data(), a.bytes.size())));
+      uint64_t w0, w1;
+      uint32_t w2;
+      std::memcpy(&w0, a.bytes.data(), 8);
+      std::memcpy(&w1, a.bytes.data() + 8, 8);
+      std::memcpy(&w2, a.bytes.data() + 16, 4);
+      uint64_t h = w0 * 0x9e3779b97f4a7c15ULL;
+      h = (h ^ w1) * 0xc2b2ae3d27d4eb4fULL;
+      h = (h ^ w2) * 0x165667b19e3779f9ULL;
+      return static_cast<size_t>(h ^ (h >> 32));
     }
   };
 };

@@ -73,15 +73,6 @@ uint64_t ReadU64BEPadded(BytesView data, size_t offset) {
   return v;
 }
 
-uint64_t Fnv1a64(BytesView data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
 }

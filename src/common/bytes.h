@@ -38,9 +38,6 @@ void AppendU64BE(Bytes* dst, uint64_t v);
 /// missing bytes read as zero (EVM calldata semantics).
 uint64_t ReadU64BEPadded(BytesView data, size_t offset);
 
-/// FNV-1a 64-bit hash, used for coverage-map keys and dedup sets.
-uint64_t Fnv1a64(BytesView data);
-
 /// Combines two 64-bit hashes (boost::hash_combine flavor).
 uint64_t HashCombine(uint64_t a, uint64_t b);
 

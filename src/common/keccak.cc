@@ -69,9 +69,51 @@ void KeccakF1600(uint64_t state[25]) {
   }
 }
 
+/// One memo slot: a 64-byte input and its digest. Trivially constructible,
+/// so the thread_local table below is zero-filled (every slot invalid)
+/// without a per-access initialisation guard.
+struct MemoEntry {
+  uint8_t input[kKeccakMemoInputBytes];
+  std::array<uint8_t, 32> digest;
+  bool valid;
+};
+
+/// Direct-mapped, per-thread memo for 64-byte inputs — the `keccak(key .
+/// slot)` form every mapping access hashes. Fixed at kKeccakMemoSlots
+/// entries (~25 KB per thread); a slot is overwritten by the next input that
+/// maps to it and never grows. Thread-local, so no locking: each thread only
+/// ever reads and writes its own table.
+thread_local MemoEntry memo[kKeccakMemoSlots];
+
 }  // namespace
 
+size_t Keccak256MemoSlot(BytesView data) {
+  // A multiply chain over the eight words, so word order matters
+  // (keccak(1 . 2) and keccak(2 . 1) are different mapping slots).
+  uint64_t h = 0;
+  for (size_t i = 0; i < kKeccakMemoInputBytes / 8; ++i) {
+    uint64_t w;
+    std::memcpy(&w, data.data() + i * 8, 8);
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+  }
+  static_assert(kKeccakMemoSlots == 256, "the slot is the hash's top byte");
+  return static_cast<size_t>(h >> 56);
+}
+
 std::array<uint8_t, 32> Keccak256(BytesView data) {
+  if (data.size() != kKeccakMemoInputBytes) return Keccak256Uncached(data);
+  MemoEntry& entry = memo[Keccak256MemoSlot(data)];
+  if (entry.valid &&
+      std::memcmp(entry.input, data.data(), kKeccakMemoInputBytes) == 0) {
+    return entry.digest;
+  }
+  entry.digest = Keccak256Uncached(data);
+  std::memcpy(entry.input, data.data(), kKeccakMemoInputBytes);
+  entry.valid = true;
+  return entry.digest;
+}
+
+std::array<uint8_t, 32> Keccak256Uncached(BytesView data) {
   uint64_t state[25] = {0};
   uint8_t block[kRateBytes];
 

@@ -1,6 +1,7 @@
 #include "common/u256.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace mufuzz {
@@ -8,6 +9,9 @@ namespace mufuzz {
 namespace {
 
 using u128 = unsigned __int128;
+
+// FromBytesBE/ToBytesBE move whole limbs with one byte swap each.
+static_assert(std::endian::native == std::endian::little);
 
 /// Multiplies two 4-limb numbers into an 8-limb product (little-endian).
 void MulFull(const std::array<uint64_t, 4>& a, const std::array<uint64_t, 4>& b,
@@ -24,41 +28,96 @@ void MulFull(const std::array<uint64_t, 4>& a, const std::array<uint64_t, 4>& b,
   }
 }
 
-/// Long division of an n-limb little-endian numerator by a 256-bit
-/// denominator. Writes the quotient (n limbs) and 256-bit remainder.
-/// Denominator must be nonzero.
+/// Divides the n-limb little-endian numerator (n <= 8) by a nonzero
+/// 256-bit denominator: the quotient fills quot[0..n), the remainder *rem.
+/// A one-limb divisor takes one u128/u64 step per numerator limb; wider
+/// divisors run Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) in base 2^64,
+/// normalised so the divisor's top limb has its high bit set.
 void DivModWide(const uint64_t* num, int n, const U256& den, uint64_t* quot,
                 U256* rem) {
-  // Binary long division, processing bits from most significant down.
-  // The remainder accumulator needs one limb of headroom beyond 256 bits.
-  uint64_t r[5] = {0, 0, 0, 0, 0};
-  uint64_t d[5] = {den.limb(0), den.limb(1), den.limb(2), den.limb(3), 0};
   std::memset(quot, 0, n * sizeof(uint64_t));
+  int dn = 4;
+  while (den.limb(dn - 1) == 0) --dn;
+  int m = n;
+  while (m > 0 && num[m - 1] == 0) --m;
+  if (m < dn) {  // numerator < denominator: it is the remainder
+    uint64_t r[4] = {0, 0, 0, 0};
+    std::memcpy(r, num, m * sizeof(uint64_t));
+    *rem = U256(r[0], r[1], r[2], r[3]);
+    return;
+  }
+  if (dn == 1) {
+    const uint64_t d = den.limb(0);
+    uint64_t r = 0;
+    for (int i = m - 1; i >= 0; --i) {
+      u128 cur = (static_cast<u128>(r) << 64) | num[i];
+      quot[i] = static_cast<uint64_t>(cur / d);
+      r = static_cast<uint64_t>(cur % d);
+    }
+    *rem = U256(r);
+    return;
+  }
 
-  auto r_geq_d = [&]() {
-    for (int i = 4; i >= 0; --i) {
-      if (r[i] != d[i]) return r[i] > d[i];
-    }
-    return true;
+  // Normalise: shift both operands left until the divisor's top bit is set.
+  // The shifted numerator gains one limb, so u holds up to 9.
+  const int s = __builtin_clzll(den.limb(dn - 1));
+  auto shl = [s](uint64_t hi, uint64_t lo) {
+    return s == 0 ? hi : (hi << s) | (lo >> (64 - s));
   };
-  auto r_sub_d = [&]() {
-    u128 borrow = 0;
-    for (int i = 0; i < 5; ++i) {
-      u128 cur = static_cast<u128>(r[i]) - d[i] - borrow;
-      r[i] = static_cast<uint64_t>(cur);
-      borrow = (cur >> 64) ? 1 : 0;
-    }
-  };
+  uint64_t v[4];
+  for (int i = dn - 1; i > 0; --i) v[i] = shl(den.limb(i), den.limb(i - 1));
+  v[0] = den.limb(0) << s;
+  uint64_t u[9];
+  u[m] = shl(0, num[m - 1]);
+  for (int i = m - 1; i > 0; --i) u[i] = shl(num[i], num[i - 1]);
+  u[0] = num[0] << s;
 
-  for (int bit = n * 64 - 1; bit >= 0; --bit) {
-    // r = (r << 1) | num_bit
-    for (int i = 4; i > 0; --i) r[i] = (r[i] << 1) | (r[i - 1] >> 63);
-    r[0] <<= 1;
-    if ((num[bit >> 6] >> (bit & 63)) & 1) r[0] |= 1;
-    if (r_geq_d()) {
-      r_sub_d();
-      quot[bit >> 6] |= (1ULL << (bit & 63));
+  const uint64_t vtop = v[dn - 1];
+  const uint64_t vnext = v[dn - 2];
+  for (int j = m - dn; j >= 0; --j) {
+    // Estimate the quotient digit from the top two numerator limbs, then
+    // correct it with the divisor's second limb; it is now exact or one
+    // too large.
+    const u128 top = (static_cast<u128>(u[j + dn]) << 64) | u[j + dn - 1];
+    u128 qhat = top / vtop;
+    u128 rhat = top % vtop;
+    while ((qhat >> 64) != 0 ||
+           qhat * vnext > ((rhat << 64) | u[j + dn - 2])) {
+      --qhat;
+      rhat += vtop;
+      if ((rhat >> 64) != 0) break;
     }
+    // u[j..j+dn] -= qhat * v.
+    const uint64_t q = static_cast<uint64_t>(qhat);
+    uint64_t borrow = 0;
+    for (int i = 0; i < dn; ++i) {
+      const u128 p = static_cast<u128>(q) * v[i];
+      const uint64_t sub = static_cast<uint64_t>(p) + borrow;
+      const uint64_t carry = sub < borrow ? 1 : 0;
+      const uint64_t cur = u[i + j];
+      u[i + j] = cur - sub;
+      borrow = static_cast<uint64_t>(p >> 64) + carry + (cur < sub ? 1 : 0);
+    }
+    const uint64_t cur = u[j + dn];
+    u[j + dn] = cur - borrow;
+    quot[j] = q;
+    if (cur < borrow) {
+      // qhat was one too large: add the divisor back.
+      --quot[j];
+      uint64_t carry = 0;
+      for (int i = 0; i < dn; ++i) {
+        const u128 sum = static_cast<u128>(u[i + j]) + v[i] + carry;
+        u[i + j] = static_cast<uint64_t>(sum);
+        carry = static_cast<uint64_t>(sum >> 64);
+      }
+      u[j + dn] += carry;
+    }
+  }
+
+  // Denormalise the remainder (the low dn limbs of u).
+  uint64_t r[4] = {0, 0, 0, 0};
+  for (int i = 0; i < dn; ++i) {
+    r[i] = s == 0 ? u[i] : (u[i] >> s) | (u[i + 1] << (64 - s));
   }
   *rem = U256(r[0], r[1], r[2], r[3]);
 }
@@ -93,15 +152,15 @@ Result<U256> U256::FromBytesBE(BytesView bytes) {
   if (bytes.size() > 32) {
     return Status::InvalidArgument("U256::FromBytesBE: more than 32 bytes");
   }
-  std::array<uint8_t, 32> buf{};
-  std::copy(bytes.begin(), bytes.end(), buf.begin() + (32 - bytes.size()));
-  std::array<uint64_t, 4> limbs{};
+  uint8_t buf[32] = {};
+  if (!bytes.empty()) {
+    std::memcpy(buf + (32 - bytes.size()), bytes.data(), bytes.size());
+  }
+  std::array<uint64_t, 4> limbs;
   for (int i = 0; i < 4; ++i) {
-    uint64_t v = 0;
-    for (int j = 0; j < 8; ++j) {
-      v = (v << 8) | buf[(3 - i) * 8 + j];
-    }
-    limbs[i] = v;
+    uint64_t v;
+    std::memcpy(&v, buf + (3 - i) * 8, 8);
+    limbs[i] = __builtin_bswap64(v);
   }
   return U256(limbs[0], limbs[1], limbs[2], limbs[3]);
 }
@@ -386,12 +445,10 @@ bool U256::Sgt(const U256& o) const {
 }
 
 std::array<uint8_t, 32> U256::ToBytesBE() const {
-  std::array<uint8_t, 32> out{};
+  std::array<uint8_t, 32> out;
   for (int i = 0; i < 4; ++i) {
-    uint64_t v = limbs_[3 - i];
-    for (int j = 0; j < 8; ++j) {
-      out[i * 8 + j] = static_cast<uint8_t>(v >> (56 - 8 * j));
-    }
+    uint64_t v = __builtin_bswap64(limbs_[3 - i]);
+    std::memcpy(out.data() + i * 8, &v, 8);
   }
   return out;
 }

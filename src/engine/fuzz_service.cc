@@ -104,20 +104,27 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
         "ServiceOptions::metrics_log_interval_ms must be >= 0 (0 = no "
         "periodic log line)");
   }
-  if (job.config.wave_size < 0) {
-    return Status::InvalidArgument("job \"" + job.name +
-                                   "\": CampaignConfig::wave_size must be "
-                                   ">= 0 (0/1 = the serial loop)");
-  }
-  if (job.config.fanout < 0) {
-    return Status::InvalidArgument("job \"" + job.name +
-                                   "\": CampaignConfig::fanout must be >= 0 "
-                                   "(0/1 = the serial parent chain)");
-  }
-  if (job.config.async_workers < 0) {
-    return Status::InvalidArgument("job \"" + job.name +
-                                   "\": CampaignConfig::async_workers must "
-                                   "be >= 0 (0 = in-process execution)");
+  const fuzzer::CampaignConfig& c = job.config;
+  const struct {
+    const char* knob;
+    int value, lo, hi;
+  } ranges[] = {
+      {"initial_seeds", c.initial_seeds, 0, kMaxInitialSeeds},
+      {"async_workers", c.async_workers, 0, kMaxAsyncWorkers},
+      {"wave_size", c.wave_size, 0, kMaxWaveSize},
+      {"fanout", c.fanout, 0, kMaxFanout},
+      {"base_energy", c.base_energy, 1, kMaxBaseEnergy},
+      {"coverage_samples", c.coverage_samples, 0, kMaxCoverageSamples},
+      {"mask_stride_divisor", c.mask_stride_divisor, 0,
+       kMaxMaskStrideDivisor},
+  };
+  for (const auto& r : ranges) {
+    if (r.value < r.lo || r.value > r.hi) {
+      return Status::InvalidArgument(
+          "job \"" + job.name + "\": CampaignConfig::" + r.knob + " = " +
+          std::to_string(r.value) + " is outside [" + std::to_string(r.lo) +
+          ", " + std::to_string(r.hi) + "]");
+    }
   }
   if (job.config.max_executions < 0) {
     return Status::InvalidArgument(

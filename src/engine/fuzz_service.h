@@ -25,6 +25,21 @@
 
 namespace mufuzz::engine {
 
+/// Inclusive ranges Submit enforces on a job's CampaignConfig. Each knob
+/// arrives unchecked in a wire SUBMIT and sizes something the daemon
+/// allocates or runs: a reserve (initial_seeds), a thread pool
+/// (async_workers), plans in flight (wave_size x fanout), children per
+/// parent (base_energy; below 1 a campaign never executes and never
+/// finishes), the coverage curve (coverage_samples), mask probes
+/// (mask_stride_divisor). Every workload in this repo sits far inside them.
+inline constexpr int kMaxInitialSeeds = 4096;
+inline constexpr int kMaxAsyncWorkers = 64;
+inline constexpr int kMaxWaveSize = 1024;
+inline constexpr int kMaxFanout = 64;
+inline constexpr int kMaxBaseEnergy = 4096;
+inline constexpr int kMaxCoverageSamples = 100000;
+inline constexpr int kMaxMaskStrideDivisor = 4096;
+
 /// One unit of fuzzing work: fuzz one contract with one (strategy, seed)
 /// configuration. Either `artifact` is set (pre-compiled, caller keeps
 /// ownership and must outlive the job) or `source` is compiled by the
@@ -313,10 +328,12 @@ class FuzzService {
   FuzzService& operator=(const FuzzService&) = delete;
 
   /// Admits one standalone job (FuzzJob::island_group is ignored). Fails —
-  /// without admitting anything — on out-of-range config knobs: negative
-  /// `wave_size`, `async_workers`, or `max_executions` on the job, or
-  /// negative `wave_size` / `backend_workers` / `migration_top_k` on the
-  /// service options.
+  /// without admitting anything — on out-of-range config knobs: a job's
+  /// `initial_seeds`, `async_workers`, `wave_size`, `fanout`, `base_energy`,
+  /// `coverage_samples` or `mask_stride_divisor` outside its range (the
+  /// kMax* limits above), negative `max_executions`, or negative
+  /// `wave_size` / `backend_workers` / `migration_top_k` on the service
+  /// options.
   Result<JobTicket> Submit(FuzzJob job);
 
   /// Admits `jobs` as one island archipelago: members run in lockstep

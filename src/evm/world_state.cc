@@ -162,7 +162,11 @@ Account& WorldState::Ensure(const Address& addr) {
 }
 
 void WorldState::SetBalance(const Address& addr, const U256& value) {
-  Account& a = Ensure(addr);
+  WriteBalance(addr, Ensure(addr), value);
+}
+
+void WorldState::WriteBalance(const Address& addr, Account& a,
+                              const U256& value) {
   if (a.balance == value) return;
   if (journaling()) {
     JournalEntry e;
@@ -178,13 +182,15 @@ bool WorldState::Transfer(const Address& from, const Address& to,
                           const U256& value) {
   if (value.IsZero()) return true;
   // Even a failed transfer brings `from` into existence (seed semantics,
-  // pinned by the differential oracle). Copy the balance out; the reference
-  // must not outlive the SetBalance inserts below.
-  U256 src = Ensure(from).balance;
-  if (src < value) return false;
-  SetBalance(from, src - value);
-  // Read `to` only after debiting `from` so a self-transfer nets to zero.
-  SetBalance(to, GetBalance(to) + value);
+  // pinned by the differential oracle).
+  Account& src = Ensure(from);
+  if (src.balance < value) return false;
+  WriteBalance(from, src, src.balance - value);
+  // Resolve `to` only after debiting `from`: the journal order is
+  // create(from), debit, create(to), credit, and a self-transfer (dst is
+  // src) nets to zero.
+  Account& dst = Ensure(to);
+  WriteBalance(to, dst, dst.balance + value);
   return true;
 }
 
@@ -237,12 +243,25 @@ size_t WorldState::Snapshot() {
 }
 
 void WorldState::UnwindTo(size_t mark) {
+  // Runs of entries usually name one account: look it up once per run.
+  // Unwinding never inserts, so the cached iterator stays valid until the
+  // account's own kCreateAccount erases it.
+  Address run_addr;
+  auto it = accounts_.end();
+  bool in_run = false;
   while (journal_.size() > mark) {
     JournalEntry& e = journal_.back();
-    auto it = accounts_.find(e.addr);
+    if (!in_run || !(run_addr == e.addr)) {
+      run_addr = e.addr;
+      it = accounts_.find(e.addr);
+      in_run = true;
+    }
     switch (e.kind) {
       case JournalEntry::Kind::kCreateAccount:
-        if (it != accounts_.end()) accounts_.erase(it);
+        if (it != accounts_.end()) {
+          accounts_.erase(it);
+          it = accounts_.end();
+        }
         break;
       case JournalEntry::Kind::kBalance:
         if (it != accounts_.end()) it->second.balance = e.prev_word;

@@ -281,8 +281,11 @@ class WorldState {
   /// Returns the account, creating (and journaling) an empty one on first
   /// touch. Private on purpose: the reference is short-lived scratch inside
   /// one setter — handing it out would let callers mutate past the journal,
-  /// and a later insert could rehash the map out from under it.
+  /// and an unwind could erase the account out from under it. (Inserts do
+  /// not move map nodes, so a setter may hold it across another Ensure.)
   Account& Ensure(const Address& addr);
+  /// SetBalance on an account already resolved by Ensure.
+  void WriteBalance(const Address& addr, Account& a, const U256& value);
 
   bool journaling() const { return !marks_.empty(); }
   /// Undoes journal entries until only `mark` remain.

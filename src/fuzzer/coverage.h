@@ -40,12 +40,28 @@ class CoverageMap {
   /// lookups never grow the tables.
   CoverageMap(int total_jumpis, std::span<const uint32_t> jumpi_pcs)
       : total_jumpis_(total_jumpis) {
-    for (uint32_t pc : jumpi_pcs) (void)InternSlot(pc);
+    for (uint32_t pc : jumpi_pcs) (void)Slot(pc);
+  }
+
+  /// Dense slot of `pc`, interning it on first sight. The hit path is
+  /// inline; the grow path (never taken in steady state: the campaign
+  /// pre-interns the artifact's full branch map) is out of line. Callers
+  /// handling one trace event look the slot up once and pass it to the
+  /// *At methods below.
+  size_t Slot(uint32_t pc) {
+    if (pc < pc_slot_.size()) {
+      int32_t slot = pc_slot_[pc];
+      if (slot >= 0) return static_cast<size_t>(slot);
+    }
+    return InternNewSlot(pc);
   }
 
   /// Records a branch direction; returns true if it is new coverage.
   bool AddBranch(uint32_t pc, bool taken) {
-    size_t bit = 2 * InternSlot(pc) + (taken ? 1 : 0);
+    return AddBranchAt(Slot(pc), taken);
+  }
+  bool AddBranchAt(size_t slot, bool taken) {
+    size_t bit = 2 * slot + (taken ? 1 : 0);
     uint64_t mask = uint64_t{1} << (bit & 63);
     uint64_t& word = covered_bits_[bit >> 6];
     if ((word & mask) != 0) return false;
@@ -56,8 +72,10 @@ class CoverageMap {
 
   bool IsCovered(uint32_t pc, bool taken) const {
     int32_t slot = FindSlot(pc);
-    if (slot < 0) return false;
-    size_t bit = 2 * static_cast<size_t>(slot) + (taken ? 1 : 0);
+    return slot >= 0 && IsCoveredAt(static_cast<size_t>(slot), taken);
+  }
+  bool IsCoveredAt(size_t slot, bool taken) const {
+    size_t bit = 2 * slot + (taken ? 1 : 0);
     return (covered_bits_[bit >> 6] >> (bit & 63)) & 1;
   }
 
@@ -65,7 +83,10 @@ class CoverageMap {
   /// to an executed branch. Returns true if it improves (shrinks) the best
   /// known distance — the "DISTANCE decreases" trigger of Algorithms 1–2.
   bool OfferDistance(uint32_t pc, bool want_taken, uint64_t distance) {
-    size_t bit = 2 * InternSlot(pc) + (want_taken ? 1 : 0);
+    return OfferDistanceAt(Slot(pc), want_taken, distance);
+  }
+  bool OfferDistanceAt(size_t slot, bool want_taken, uint64_t distance) {
+    size_t bit = 2 * slot + (want_taken ? 1 : 0);
     if ((covered_bits_[bit >> 6] >> (bit & 63)) & 1) return false;
     // The first observation for a direction always "improves" — even a
     // saturated UINT64_MAX distance — exactly like inserting into the old
@@ -121,24 +142,8 @@ class CoverageMap {
   }
 
  private:
-  /// Slot for `pc`, interning it (and growing the dense tables) on first
-  /// sight. Steady state never takes the grow path: the campaign pre-interns
-  /// the artifact's full branch map.
-  size_t InternSlot(uint32_t pc) {
-    if (pc < pc_slot_.size()) {
-      int32_t slot = pc_slot_[pc];
-      if (slot >= 0) return static_cast<size_t>(slot);
-    } else {
-      pc_slot_.resize(static_cast<size_t>(pc) + 1, -1);
-    }
-    size_t slot = slot_pcs_.size();
-    pc_slot_[pc] = static_cast<int32_t>(slot);
-    slot_pcs_.push_back(pc);
-    covered_bits_.resize((2 * slot_pcs_.size() + 63) / 64, 0);
-    distance_seen_bits_.resize((2 * slot_pcs_.size() + 63) / 64, 0);
-    best_distance_.resize(2 * slot_pcs_.size(), UINT64_MAX);
-    return slot;
-  }
+  /// Slot's grow path: interns a pc never seen before (coverage.cc).
+  size_t InternNewSlot(uint32_t pc);
 
   int32_t FindSlot(uint32_t pc) const {
     return pc < pc_slot_.size() ? pc_slot_[pc] : -1;

@@ -42,7 +42,8 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
                                bool tx_success, CampaignResult* result,
                                ExecSignals* stats) {
   for (const evm::BranchEvent& ev : trace.branches()) {
-    if (coverage_.AddBranch(ev.pc, ev.taken)) ++stats->new_branches;
+    const size_t slot = coverage_.Slot(ev.pc);
+    if (coverage_.AddBranchAt(slot, ev.taken)) ++stats->new_branches;
     stats->touched_pcs.push_back(ev.pc);
 
     const lang::BranchMapEntry* entry = BranchAt(ev.pc);
@@ -56,7 +57,7 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
       const evm::CmpRecord& cmp = cmps[ev.cmp_id];
       // Distance to the *other* direction of this branch.
       uint64_t flip = evm::BranchDistance(cmp, !ev.taken);
-      if (coverage_.OfferDistance(ev.pc, !ev.taken, flip)) {
+      if (coverage_.OfferDistanceAt(slot, !ev.taken, flip)) {
         stats->improved_distance = true;
         if (flip < best_flip_distance_) {
           best_flip_distance_ = flip;
@@ -66,7 +67,7 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
       // Harvest comparison constants at still-uncovered directions for
       // the R ("replace with interesting values") operator — solver-class
       // feedback only some strategies possess.
-      if (constant_injection_ && !coverage_.IsCovered(ev.pc, !ev.taken)) {
+      if (constant_injection_ && !coverage_.IsCoveredAt(slot, !ev.taken)) {
         constants_->AddInterestingConstant(cmp.a);
         constants_->AddInterestingConstant(cmp.b);
       }

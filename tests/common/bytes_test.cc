@@ -58,13 +58,6 @@ TEST(BytesTest, ReadU64BEPaddedReadsZerosPastEnd) {
   EXPECT_EQ(ReadU64BEPadded(data, 100), 0ULL);
 }
 
-TEST(BytesTest, Fnv1a64IsStableAndDiscriminates) {
-  Bytes a = {1, 2, 3};
-  Bytes b = {1, 2, 4};
-  EXPECT_EQ(Fnv1a64(a), Fnv1a64(a));
-  EXPECT_NE(Fnv1a64(a), Fnv1a64(b));
-}
-
 TEST(StatusTest, OkByDefault) {
   Status s;
   EXPECT_TRUE(s.ok());
@@ -119,6 +112,12 @@ TEST(AddressTest, HashDiscriminates) {
   Address::Hasher h;
   EXPECT_NE(h(Address::FromUint(1)), h(Address::FromUint(2)));
   EXPECT_EQ(h(Address::FromUint(1)), h(Address::FromUint(1)));
+  // A flipped byte in each of the three hashed words changes the hash.
+  for (size_t byte : {0, 7, 8, 15, 16, 19}) {
+    Address a = Address::FromUint(0x1234);
+    a.bytes[byte] ^= 0x40;
+    EXPECT_NE(h(a), h(Address::FromUint(0x1234))) << "byte " << byte;
+  }
 }
 
 TEST(RngTest, DeterministicFromSeed) {

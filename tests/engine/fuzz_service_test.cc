@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +88,50 @@ TEST(FuzzServiceValidationTest, RejectsNegativeJobMaxExecutions) {
   EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(ticket.status().message().find("max_executions"),
             std::string::npos);
+}
+
+TEST(FuzzServiceValidationTest, RejectsWireKnobsOutsideTheirRanges) {
+  // Every knob that sizes something the service allocates or runs has an
+  // upper bound; base_energy < 1 would never execute and never finish.
+  struct Case {
+    const char* knob;
+    int CampaignConfig::*field;
+    int bad;
+  };
+  const Case cases[] = {
+      {"initial_seeds", &CampaignConfig::initial_seeds, kMaxInitialSeeds + 1},
+      {"initial_seeds", &CampaignConfig::initial_seeds, INT32_MAX},
+      {"initial_seeds", &CampaignConfig::initial_seeds, -1},
+      {"async_workers", &CampaignConfig::async_workers, kMaxAsyncWorkers + 1},
+      {"wave_size", &CampaignConfig::wave_size, kMaxWaveSize + 1},
+      {"fanout", &CampaignConfig::fanout, kMaxFanout + 1},
+      {"base_energy", &CampaignConfig::base_energy, kMaxBaseEnergy + 1},
+      {"base_energy", &CampaignConfig::base_energy, 0},
+      {"coverage_samples", &CampaignConfig::coverage_samples,
+       kMaxCoverageSamples + 1},
+      {"coverage_samples", &CampaignConfig::coverage_samples, -1},
+      {"mask_stride_divisor", &CampaignConfig::mask_stride_divisor,
+       kMaxMaskStrideDivisor + 1},
+      {"mask_stride_divisor", &CampaignConfig::mask_stride_divisor, -1},
+  };
+  FuzzService service;
+  for (const Case& c : cases) {
+    FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
+    job.config.*c.field = c.bad;
+    Result<JobTicket> ticket = service.Submit(job);
+    ASSERT_FALSE(ticket.ok()) << c.knob << " = " << c.bad;
+    EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ticket.status().message().find(c.knob), std::string::npos)
+        << ticket.status().ToString();
+  }
+  // The limits themselves are accepted.
+  FuzzJob edge = MakeJob("edge", corpus::CrowdsaleExample().source, 1, 20);
+  edge.config.initial_seeds = 0;
+  edge.config.base_energy = 1;
+  edge.config.coverage_samples = kMaxCoverageSamples;
+  edge.config.mask_stride_divisor = kMaxMaskStrideDivisor;
+  ASSERT_TRUE(service.Submit(edge).ok());
+  EXPECT_EQ(service.WaitAll().size(), 1u);
 }
 
 TEST(FuzzServiceValidationTest, RejectsNegativeServiceWaveSize) {

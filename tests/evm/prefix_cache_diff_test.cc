@@ -242,11 +242,15 @@ std::vector<ColdRun> ColdRuns(Target* target,
   return runs;
 }
 
+/// Plain bytes only, with no padding: gtest lists an unprintable parameter
+/// byte by byte in the test's name, so a pointer here (a std::string's
+/// buffer) would give the tests a different name in every build.
 struct DiffCase {
-  std::string name;
   double failure_probability;
   DispatchMode dispatch;
+  char name[39];
 };
+static_assert(sizeof(DiffCase) == 48, "DiffCase must have no padding");
 
 EvmConfig ConfigFor(const DiffCase& c) {
   EvmConfig config;
@@ -469,12 +473,12 @@ TEST_P(PrefixCacheDiffTest, BackendMovingBetweenThreadsMatchesColdRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     Hosts, PrefixCacheDiffTest,
-    ::testing::Values(DiffCase{"decoded_p0", 0.0, DispatchMode::kDecoded},
-                      DiffCase{"decoded_p03", 0.3, DispatchMode::kDecoded},
-                      DiffCase{"jit_p0", 0.0, DispatchMode::kJit},
-                      DiffCase{"jit_p03", 0.3, DispatchMode::kJit}),
+    ::testing::Values(DiffCase{0.0, DispatchMode::kDecoded, "decoded_p0"},
+                      DiffCase{0.3, DispatchMode::kDecoded, "decoded_p03"},
+                      DiffCase{0.0, DispatchMode::kJit, "jit_p0"},
+                      DiffCase{0.3, DispatchMode::kJit, "jit_p03"}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 // ------------------------------------------------------ WorldState deltas --

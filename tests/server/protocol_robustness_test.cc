@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -333,6 +334,32 @@ TEST_F(ProtocolSocketTest, DeeplyNestedSourceAnswersErrorAndDaemonServes) {
   next.source = corpus::CrowdsaleExample().source;
   next.config.max_executions = 50;
   auto ticket = client.Submit(next);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  auto outcome = client.Wait(*ticket);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->has_result) << outcome->error;
+}
+
+TEST_F(ProtocolSocketTest, OutOfRangeKnobAnswersErrorAndDaemonServes) {
+  MufuzzClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  // Accepted, this would reserve (and then generate) INT32_MAX initial
+  // seeds inside the daemon.
+  SubmitRequest request;
+  request.name = corpus::CrowdsaleExample().name;
+  request.source = corpus::CrowdsaleExample().source;
+  request.config.initial_seeds = INT32_MAX;
+  auto rejected = client.Submit(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find("initial_seeds"),
+            std::string::npos)
+      << rejected.status().ToString();
+  // Same connection, next job: served to completion.
+  request.config.initial_seeds = 4;
+  request.config.max_executions = 50;
+  auto ticket = client.Submit(request);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   auto outcome = client.Wait(*ticket);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
