@@ -131,6 +131,20 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
         "job \"" + job.name +
         "\": CampaignConfig::max_executions must be >= 0");
   }
+  // Written so that NaN fails it too.
+  const double p = c.call_failure_probability;
+  if (!(p >= 0.0 && p <= 1.0)) {
+    return Status::InvalidArgument(
+        "job \"" + job.name +
+        "\": CampaignConfig::call_failure_probability = " +
+        std::to_string(p) + " is outside [0, 1]");
+  }
+  if (job.source.size() > kMaxSourceBytes) {
+    return Status::InvalidArgument(
+        "job \"" + job.name + "\": source is " +
+        std::to_string(job.source.size()) + " bytes, over the limit of " +
+        std::to_string(kMaxSourceBytes));
+  }
   return Status::OK();
 }
 

@@ -40,6 +40,12 @@ inline constexpr int kMaxBaseEnergy = 4096;
 inline constexpr int kMaxCoverageSamples = 100000;
 inline constexpr int kMaxMaskStrideDivisor = 4096;
 
+/// Longest FuzzJob::source Submit accepts. A source is compiled by a
+/// worker, so this bounds what one SUBMIT makes the daemon parse, apart
+/// from the wire's 8 MiB frame cap. The largest builtin or generated
+/// contract is under 3 KB, so 1 MiB leaves more than 300x headroom.
+inline constexpr size_t kMaxSourceBytes = size_t{1} << 20;
+
 /// One unit of fuzzing work: fuzz one contract with one (strategy, seed)
 /// configuration. Either `artifact` is set (pre-compiled, caller keeps
 /// ownership and must outlive the job) or `source` is compiled by the
@@ -151,8 +157,8 @@ struct JobProgress {
   /// Code-cache counters of the job's backend at snapshot time (process-wide
   /// cache by default — diagnostics, not part of any reproducibility key).
   evm::CodeCacheStats code_cache;
-  /// Transactions the job's backend executed vs. served from its prefix
-  /// cache (diagnostics, like `code_cache`).
+  /// Transactions the job's backend executed vs. served from its
+  /// transaction memo (diagnostics, like `code_cache`).
   evm::PrefixCacheStats prefix_cache;
   /// MUFUZZ_ALLOC_STATS counters (all zero when the hook is compiled out):
   /// heap allocations since the campaign reached steady state, and the most
@@ -331,9 +337,10 @@ class FuzzService {
   /// without admitting anything — on out-of-range config knobs: a job's
   /// `initial_seeds`, `async_workers`, `wave_size`, `fanout`, `base_energy`,
   /// `coverage_samples` or `mask_stride_divisor` outside its range (the
-  /// kMax* limits above), negative `max_executions`, or negative
-  /// `wave_size` / `backend_workers` / `migration_top_k` on the service
-  /// options.
+  /// kMax* limits above), negative `max_executions`, a
+  /// `call_failure_probability` that is not a number in [0, 1], a `source`
+  /// longer than kMaxSourceBytes, or negative `wave_size` /
+  /// `backend_workers` / `migration_top_k` on the service options.
   Result<JobTicket> Submit(FuzzJob job);
 
   /// Admits `jobs` as one island archipelago: members run in lockstep

@@ -1,5 +1,6 @@
 #include "evm/execution_backend.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +18,7 @@ std::atomic<uint64_t> g_next_generation{1};
 uint64_t NextGeneration() { return g_next_generation++; }
 
 /// Word-at-a-time hash of every request field: the cheap pre-check that
-/// keeps sibling scans from touching node payloads.
+/// keeps probes from touching record payloads.
 uint64_t RequestHash(const TransactionRequest& r) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
   auto word = [&h](uint64_t w) {
@@ -46,8 +47,7 @@ uint64_t RequestHash(const TransactionRequest& r) {
 }
 
 /// True when the transaction called out to the host. Such a transaction's
-/// outcome depends on the plan's host seed, so it and everything after it
-/// are never cached.
+/// outcome depends on the plan's host seed, so it is never memoized.
 bool ReachedHost(const TraceRecorder& trace) {
   for (const CallEvent& ev : trace.calls()) {
     if (ev.to_external) return true;
@@ -55,92 +55,113 @@ bool ReachedHost(const TraceRecorder& trace) {
   return false;
 }
 
-/// The per-thread store of cached transactions: a trie whose node 0 is the
-/// deployed state and whose children hang off singly linked sibling lists
-/// (lookup is O(children) over compact headers). A node is first only a
-/// header (the chain was sighted once); recording packs its request,
-/// outcome and redo writes into one fixed heap, so a node costs exactly
-/// its bytes, the steady state never allocates, and a flush just resets
-/// the bump pointer.
-class PrefixArena {
+/// Everything a transaction's outcome depends on within one backend
+/// generation (which fixes the host, the EvmConfig and the rest of the
+/// block context): the world state it starts from, the block it runs in,
+/// and the request. The request itself is compared byte for byte on a
+/// hit; `request_hash` only steers the probe.
+struct TxKey {
+  StateFingerprint state;
+  uint64_t block_number = 0;
+  uint64_t timestamp = 0;
+  uint64_t request_hash = 0;
+
+  /// The 64 bits the index probes with.
+  uint64_t Summary() const {
+    uint64_t h = request_hash;
+    for (uint64_t w : {state.lo, state.hi, block_number, timestamp}) {
+      h = (h ^ w) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+};
+
+/// The per-thread transaction memo: an open-addressing index of
+/// transactions keyed by TxKey. An entry is first only an index slot (the
+/// key was sighted once); recording packs the key, request, outcome and
+/// redo writes into one fixed heap, so an entry costs exactly its bytes,
+/// the steady state never allocates, and a flush just bumps an epoch and
+/// resets the bump pointer.
+///
+/// Only the state fingerprint is probabilistic: block and request are
+/// compared exactly on a hit. With at most kMaxEntries recorded keys in an
+/// arena and the 128-bit fingerprint behaving as a random function of the
+/// state, a lookup falsely matches a different state with probability
+/// below 2048 * 2^-128 < 2^-100. An arena belongs to one backend
+/// generation at a time, so a job only ever meets its own entries.
+class TxMemo {
  public:
-  static constexpr uint32_t kRoot = 0;
   static constexpr uint32_t kNone = UINT32_MAX;
-  static constexpr size_t kMaxNodes = 2048;
+  static constexpr size_t kMaxEntries = 2048;
+  static constexpr size_t kSlots = 2 * kMaxEntries;  ///< load stays <= 1/2
   static constexpr size_t kHeapBytes = 192 << 10;
-  /// A transaction bigger than this is not cached at all.
+  /// A transaction bigger than this is not recorded at all.
   static constexpr size_t kMaxRecordBytes = kHeapBytes / 16;
 
-  static PrefixArena& ForThisThread() {
-    thread_local PrefixArena arena;
-    return arena;
+  static TxMemo& ForThisThread() {
+    thread_local TxMemo memo;
+    return memo;
   }
 
   uint64_t owner() const { return owner_; }
   /// Set once Sight or Record found no room; the next plan flushes.
   bool full() const { return full_; }
 
-  /// Flushes every node and hands the arena to `owner`.
+  /// Flushes every entry and hands the memo to `owner`.
   void Claim(uint64_t owner) {
     if (heap_ == nullptr) {
       heap_ = std::make_unique_for_overwrite<std::byte[]>(kHeapBytes);
-      nodes_.reserve(kMaxNodes);
+      slots_ = std::make_unique<Slot[]>(kSlots);
+    }
+    if (++epoch_ == 0) {  // wrapped: stale slots could look live again
+      std::fill_n(slots_.get(), kSlots, Slot{});
+      epoch_ = 1;
     }
     owner_ = owner;
     full_ = false;
     top_ = 0;
-    nodes_.assign(1, Node{});
+    entries_ = 0;
   }
 
-  /// The child of `parent` for `request` (whose RequestHash is `hash`):
-  /// recorded, or only sighted; kNone if absent. A found child moves to
-  /// the front of its siblings, since siblings of one parent ask for the
-  /// same prefix again and again.
-  uint32_t FindChild(uint32_t parent, const TransactionRequest& request,
-                     uint64_t hash) {
-    uint32_t prev = kNone;
-    for (uint32_t c = nodes_[parent].first_child; c != kNone;
-         prev = c, c = nodes_[c].next_sibling) {
-      if (nodes_[c].hash != hash ||
-          (recorded(c) &&
-           !SameRequest(Load<RecordHead>(nodes_[c].offset), c, request))) {
-        continue;
+  /// Where a key lives in the index: its slot when `found`, otherwise the
+  /// empty slot Sight would claim.
+  struct Probe {
+    uint32_t slot = 0;
+    bool found = false;
+  };
+
+  Probe Find(const TxKey& key, const TransactionRequest& request) const {
+    const uint64_t summary = key.Summary();
+    for (size_t i = summary & (kSlots - 1);; i = (i + 1) & (kSlots - 1)) {
+      const Slot& s = slots_[i];
+      if (s.epoch != epoch_) return {static_cast<uint32_t>(i), false};
+      // A sighted-only slot matches on the summary: a false match only
+      // records a transaction on its first run.
+      if (s.summary == summary &&
+          (s.offset == kNone || SameKey(s.offset, key, request))) {
+        return {static_cast<uint32_t>(i), true};
       }
-      if (prev != kNone) {
-        nodes_[prev].next_sibling = nodes_[c].next_sibling;
-        nodes_[c].next_sibling = nodes_[parent].first_child;
-        nodes_[parent].first_child = c;
-      }
-      return c;
     }
-    return kNone;
   }
 
-  /// Whether the node holds an outcome (else it was only sighted once).
-  bool recorded(uint32_t index) const {
-    return nodes_[index].offset != kNone;
-  }
+  /// Whether the slot holds an outcome (else it was only sighted once).
+  bool recorded(uint32_t slot) const { return slots_[slot].offset != kNone; }
 
-  /// Notes a first sighting of a transaction under `parent`: a header with
-  /// no record. Returns it, or kNone when the headers are exhausted.
-  uint32_t Sight(uint32_t parent, uint64_t hash) {
-    if (nodes_.size() == kMaxNodes) {
+  /// Notes a first sighting of `key` in the empty slot a Find returned.
+  void Sight(uint32_t slot, const TxKey& key) {
+    if (entries_ == kMaxEntries) {
       full_ = true;
-      return kNone;
+      return;
     }
-    Node node;
-    node.hash = hash;
-    node.next_sibling = nodes_[parent].first_child;
-    const uint32_t index = static_cast<uint32_t>(nodes_.size());
-    nodes_[parent].first_child = index;
-    nodes_.push_back(node);
-    return index;
+    slots_[slot] = Slot{key.Summary(), epoch_, kNone};
+    ++entries_;
   }
 
-  /// Copies the node's outcome into `out`, reusing out's buffers.
-  void LoadOutcome(uint32_t index, TxOutcome* out) const {
-    const RecordHead rec = Load<RecordHead>(nodes_[index].offset);
-    size_t pos = nodes_[index].offset + Padded(sizeof(RecordHead)) +
+  /// Copies the slot's outcome into `out`, reusing out's buffers.
+  void LoadOutcome(uint32_t slot, TxOutcome* out) const {
+    const RecordHead rec = Load<RecordHead>(slots_[slot].offset);
+    size_t pos = slots_[slot].offset + Padded(sizeof(RecordHead)) +
                  Padded(rec.data_size);
     size_t k = 0;
     out->trace.ForEachBuffer(
@@ -152,30 +173,36 @@ class PrefixArena {
     out->gas_used = rec.gas_used;
   }
 
-  /// Copies the node's redo writes (code-free by construction) into `out`.
-  void LoadWrites(uint32_t index,
+  /// Copies the slot's redo writes (code-free by construction) into `out`.
+  void LoadWrites(uint32_t slot,
                   std::vector<WorldState::Delta::Write>* out) const {
-    Get(nodes_[index].writes_offset, nodes_[index].writes_count, out);
+    const RecordHead rec = Load<RecordHead>(slots_[slot].offset);
+    Get(rec.writes_offset, rec.writes_count, out);
   }
 
-  /// Records a sighted node's just-executed transaction: its request, its
-  /// outcome and its writes. False when the heap is full (or the record
-  /// too big, or the delta writes code).
-  bool Record(uint32_t index, const TransactionRequest& request,
-              const TxOutcome& outcome, const WorldState::Delta& delta) {
-    if (!delta.codes().empty()) return false;
+  /// Records the just-executed transaction of a sighted slot: its key,
+  /// request, outcome and writes. Leaves the slot sighted when the record
+  /// is too big or the delta writes code; flags the memo full when the
+  /// heap is.
+  void Record(uint32_t slot, const TxKey& key,
+              const TransactionRequest& request, const TxOutcome& outcome,
+              const WorldState::Delta& delta) {
+    if (!delta.codes().empty()) return;
     size_t bytes = Padded(sizeof(RecordHead)) + Padded(request.data.size());
     outcome.trace.ForEachBuffer(
         [&bytes](const auto& buffer) { bytes += PaddedSize(buffer); });
     bytes += PaddedSize(outcome.cmps);
     bytes += Padded(delta.writes().size_bytes());
-    if (bytes > kMaxRecordBytes) return false;
+    if (bytes > kMaxRecordBytes) return;
     if (top_ + bytes > kHeapBytes) {
       full_ = true;
-      return false;
+      return;
     }
 
     RecordHead rec;
+    rec.state = key.state;
+    rec.block_number = key.block_number;
+    rec.timestamp = key.timestamp;
     rec.to = request.to;
     rec.sender = request.sender;
     rec.value = request.value;
@@ -185,8 +212,6 @@ class PrefixArena {
     rec.outcome = outcome.outcome;
     rec.gas_used = outcome.gas_used;
     rec.instructions = outcome.trace.instruction_count();
-    Node& node = nodes_[index];
-    node.offset = static_cast<uint32_t>(top_);
     size_t pos = Put(top_ + Padded(sizeof(RecordHead)), request.data.data(),
                      request.data.size());
     size_t k = 0;
@@ -196,29 +221,29 @@ class PrefixArena {
     });
     rec.counts[k] = static_cast<uint32_t>(outcome.cmps.size());
     pos = Put(pos, outcome.cmps.data(), outcome.cmps.size());
-    node.writes_offset = static_cast<uint32_t>(pos);
-    node.writes_count = static_cast<uint32_t>(delta.writes().size());
+    rec.writes_offset = static_cast<uint32_t>(pos);
+    rec.writes_count = static_cast<uint32_t>(delta.writes().size());
     pos = Put(pos, delta.writes().data(), delta.writes().size());
     std::memcpy(heap_.get() + top_, &rec, sizeof(RecordHead));
+    slots_[slot].offset = static_cast<uint32_t>(top_);
     top_ = pos;
-    return true;
   }
 
  private:
-  /// Trie structure plus where the node's bytes live in the heap.
-  struct Node {
-    uint64_t hash = 0;  ///< RequestHash of the node's request
-    uint32_t first_child = kNone;
-    uint32_t next_sibling = kNone;
-    uint32_t offset = kNone;  ///< the node's RecordHead; kNone if unrecorded
-    uint32_t writes_offset = 0;
-    uint32_t writes_count = 0;
+  /// One index slot; live only while `epoch` is the memo's.
+  struct Slot {
+    uint64_t summary = 0;  ///< TxKey::Summary of the entry's key
+    uint32_t epoch = 0;
+    uint32_t offset = kNone;  ///< the entry's RecordHead; kNone if sighted
   };
 
-  /// Fixed-size head of a node's bytes. Then, each padded to 8 bytes: the
-  /// calldata, the trace buffers in ForEachBuffer order, the comparison
-  /// records and the redo writes.
+  /// Fixed-size head of an entry's bytes. Then, each padded to 8 bytes:
+  /// the calldata, the trace buffers in ForEachBuffer order, the
+  /// comparison records and the redo writes.
   struct RecordHead {
+    StateFingerprint state;
+    uint64_t block_number = 0;
+    uint64_t timestamp = 0;
     Address to;
     Address sender;
     U256 value;
@@ -226,6 +251,8 @@ class PrefixArena {
     uint64_t gas_used = 0;
     uint64_t instructions = 0;
     uint32_t data_size = 0;
+    uint32_t writes_offset = 0;
+    uint32_t writes_count = 0;
     uint32_t counts[TraceRecorder::kBufferCount + 1] = {};  ///< + cmps
     bool success = false;
     Outcome outcome = Outcome::kSuccess;
@@ -244,13 +271,16 @@ class PrefixArena {
     return value;
   }
 
-  bool SameRequest(const RecordHead& rec, uint32_t index,
-                   const TransactionRequest& r) const {
-    return rec.to == r.to && rec.sender == r.sender && rec.gas == r.gas &&
+  /// The exact key and request of the entry at `offset` equal these.
+  bool SameKey(uint32_t offset, const TxKey& key,
+               const TransactionRequest& r) const {
+    const RecordHead rec = Load<RecordHead>(offset);
+    return rec.state == key.state && rec.block_number == key.block_number &&
+           rec.timestamp == key.timestamp && rec.to == r.to &&
+           rec.sender == r.sender && rec.gas == r.gas &&
            rec.value == r.value && rec.data_size == r.data.size() &&
            (r.data.empty() ||
-            std::memcmp(heap_.get() + nodes_[index].offset +
-                            Padded(sizeof(RecordHead)),
+            std::memcmp(heap_.get() + offset + Padded(sizeof(RecordHead)),
                         r.data.data(), r.data.size()) == 0);
   }
 
@@ -274,8 +304,10 @@ class PrefixArena {
   }
 
   std::unique_ptr<std::byte[]> heap_;  ///< kHeapBytes, made on first claim
+  std::unique_ptr<Slot[]> slots_;      ///< kSlots, made on first claim
   size_t top_ = 0;                     ///< bump pointer into heap_
-  std::vector<Node> nodes_;            ///< [0] is the deployed state
+  size_t entries_ = 0;                 ///< slots live in this epoch
+  uint32_t epoch_ = 0;
   uint64_t owner_ = 0;
   bool full_ = false;
 };
@@ -374,10 +406,9 @@ void SessionBackend::Bind(Host* host, BlockContext block, EvmConfig config) {
   trace_.Clear();
   deployed_ = {};
   marked_ = false;
-  InvalidatePrefixCache();
+  InvalidateMemo();
   executed_txs_ = 0;
   served_txs_ = 0;
-  replayed_txs_ = 0;
 }
 
 void SessionBackend::Unbind() {
@@ -386,13 +417,10 @@ void SessionBackend::Unbind() {
   trace_.Clear();
   deployed_ = {};
   marked_ = false;
-  InvalidatePrefixCache();
+  InvalidateMemo();
 }
 
-void SessionBackend::InvalidatePrefixCache() {
-  generation_ = NextGeneration();
-  path_.clear();
-}
+void SessionBackend::InvalidateMemo() { generation_ = NextGeneration(); }
 
 void SessionBackend::CheckBound() const {
   if (!session_.has_value()) {
@@ -408,27 +436,27 @@ Result<Address> SessionBackend::DeployContract(const Bytes& runtime_code,
                                                const Address& deployer,
                                                const U256& value) {
   CheckBound();
-  InvalidatePrefixCache();
+  InvalidateMemo();
   return session_->Deploy(runtime_code, ctor_code, ctor_args, deployer,
                           value);
 }
 
 void SessionBackend::FundAccount(const Address& addr, const U256& balance) {
   CheckBound();
-  InvalidatePrefixCache();
+  InvalidateMemo();
   session_->FundAccount(addr, balance);
 }
 
 void SessionBackend::MarkDeployed() {
   CheckBound();
-  InvalidatePrefixCache();
+  InvalidateMemo();
   deployed_ = session_->Snapshot();
   marked_ = true;
 }
 
 void SessionBackend::Rewind() {
   CheckBound();
-  InvalidatePrefixCache();
+  InvalidateMemo();
   session_->Restore(deployed_);
 }
 
@@ -442,56 +470,29 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
                                          SequenceOutcome* out) {
   CheckBound();
   if (!marked_) MarkDeployed();
-  PrefixArena& arena = PrefixArena::ForThisThread();
-  if (arena.owner() != generation_ || arena.full()) {
+  TxMemo& memo = TxMemo::ForThisThread();
+  if (memo.owner() != generation_ || memo.full()) {
     generation_ = NextGeneration();
-    arena.Claim(generation_);
-    path_.clear();
+    memo.Claim(generation_);
   }
   const size_t n = plan.txs.size();
   out->ResetForReuse(n);
-
-  // The deepest cached prefix of the plan, then the part of it the journal
-  // already holds; restore there and replay the rest from deltas.
-  hits_.clear();
-  uint32_t node = PrefixArena::kRoot;
-  while (hits_.size() < n) {
-    const TransactionRequest& request = plan.txs[hits_.size()].request;
-    node = arena.FindChild(node, request, RequestHash(request));
-    if (node == PrefixArena::kNone || !arena.recorded(node)) break;
-    hits_.push_back(node);
-  }
-  size_t common = 0;
-  while (common < hits_.size() && common < path_.size() &&
-         path_[common].node == hits_[common]) {
-    ++common;
-  }
-  session_->Restore(common == 0 ? deployed_ : path_[common - 1].after);
-  path_.resize(common);
-  for (size_t i = common; i < hits_.size(); ++i) {
-    arena.LoadWrites(hits_[i], &writes_);
-    session_->Replay(writes_);
-    path_.push_back({hits_[i], session_->Snapshot()});
-  }
-  served_txs_ += hits_.size();
-  replayed_txs_ += hits_.size() - common;
-  executed_txs_ += n - hits_.size();
-
+  session_->Restore(deployed_);
   host_->OnSequenceStart(plan.host_seed);
   trace_.Clear();
-  // Executed transactions extend the trie. A first sighting leaves only a
-  // header; the second records the outcome, since most transactions are
-  // never seen again and recording costs a copy. Past a first sighting the
-  // plan records nothing more: deeper nodes are unreachable until that one
-  // is recorded, and the journal path must stay contiguous.
-  uint32_t parent = hits_.empty() ? PrefixArena::kRoot : hits_.back();
-  bool recording = true;
+  uint64_t served = 0;
   for (size_t i = 0; i < n; ++i) {
     const PreparedTx& ptx = plan.txs[i];
     host_->OnTransactionStart(ptx.request.data);
     TxOutcome& txo = out->txs[i];
-    if (i < hits_.size()) {
-      arena.LoadOutcome(hits_[i], &txo);
+    const TxKey key{session_->state().fingerprint(), session_->block().number,
+                    session_->block().timestamp, RequestHash(ptx.request)};
+    const TxMemo::Probe probe = memo.Find(key, ptx.request);
+    if (probe.found && memo.recorded(probe.slot)) {
+      memo.LoadOutcome(probe.slot, &txo);
+      memo.LoadWrites(probe.slot, &writes_);
+      session_->Replay(writes_);
+      ++served;
     } else {
       const size_t journal_pos = session_->state().journal_size();
       ExecResult result = session_->Apply(ptx.request);
@@ -502,20 +503,16 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
       // The recorded events land in the outcome slot; the slot's warm
       // (cleared) buffers come back to record the next transaction.
       trace_.Swap(&txo.trace);
-      if (parent != PrefixArena::kNone && !ReachedHost(txo.trace)) {
-        const uint64_t hash = RequestHash(ptx.request);
-        uint32_t child = arena.FindChild(parent, ptx.request, hash);
-        if (child == PrefixArena::kNone) {
-          child = arena.Sight(parent, hash);
-          recording = false;
-        } else if (recording) {
+      // A first sighting leaves only an index slot; the second records
+      // the outcome, since most keys are never seen again and recording
+      // costs a copy.
+      if (!ReachedHost(txo.trace)) {
+        if (!probe.found) {
+          memo.Sight(probe.slot, key);
+        } else {
           session_->state().CaptureDelta(journal_pos, &delta_);
-          recording = arena.Record(child, ptx.request, txo, delta_);
-          if (recording) path_.push_back({child, session_->Snapshot()});
+          memo.Record(probe.slot, key, ptx.request, txo, delta_);
         }
-        parent = child;
-      } else {
-        parent = PrefixArena::kNone;
       }
     }
     txo.tag = ptx.tag;
@@ -524,6 +521,8 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
       out->touched_pcs.push_back(ev.pc);
     }
   }
+  served_txs_ += served;
+  executed_txs_ += n - served;
 }
 
 CodeCacheStats SessionBackend::code_cache_stats() const {
@@ -535,7 +534,6 @@ PrefixCacheStats SessionBackend::prefix_cache_stats() const {
   PrefixCacheStats stats;
   stats.executed_txs = executed_txs_;
   stats.served_txs = served_txs_;
-  stats.replayed_txs = replayed_txs_;
   return stats;
 }
 

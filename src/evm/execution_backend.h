@@ -100,20 +100,16 @@ struct SequenceOutcome {
 };
 
 /// Transactions a backend ran through the interpreter versus served from
-/// its prefix cache (see SessionBackend). Diagnostics only: reuse depends
-/// on which plans shared a thread, never on what outcomes say.
+/// its transaction memo (see SessionBackend). Diagnostics only: reuse
+/// depends on which plans shared a thread, never on what outcomes say.
 struct PrefixCacheStats {
   uint64_t executed_txs = 0;
-  /// Outcomes served from the cache instead of executing.
+  /// Outcomes served from the memo instead of executing.
   uint64_t served_txs = 0;
-  /// Of served_txs, those whose world state was rebuilt by replaying a
-  /// recorded delta (the rest were already on the journal's path).
-  uint64_t replayed_txs = 0;
 
   PrefixCacheStats& operator+=(const PrefixCacheStats& o) {
     executed_txs += o.executed_txs;
     served_txs += o.served_txs;
-    replayed_txs += o.replayed_txs;
     return *this;
   }
 };
@@ -230,7 +226,7 @@ class ExecutionBackend {
   /// one, so hits/misses aggregate across every session sharing it.
   virtual CodeCacheStats code_cache_stats() const { return {}; }
 
-  /// Prefix-cache counters since Bind (zeros for backends without one).
+  /// Transaction-memo counters since Bind (zeros for backends without one).
   virtual PrefixCacheStats prefix_cache_stats() const { return {}; }
 
   virtual const WorldState& state() const = 0;
@@ -267,27 +263,28 @@ class ExecutionBackend {
 /// many campaigns back to back without reallocation churn at the call sites
 /// that hold it.
 ///
-/// Prefix cache. Mutated siblings share most of their parent's transaction
-/// prefix, so each plan starts from the deepest cached prefix instead of
-/// the deployed mark:
-///  - A transaction is cached under the full request chain up to it, with
-///    its TxOutcome and a redo delta of its state writes, once that chain
-///    has run twice (most chains never recur, and recording costs a copy).
-///    Serving it copies the outcome and skips the interpreter; the host
-///    still sees OnSequenceStart and one OnTransactionStart per transaction.
-///  - Only a prefix that never reached the host (no CallEvent with
-///    `to_external`) is cached: anything past a host call depends on the
-///    plan's host seed.
-///  - The journal keeps a snapshot after each cached transaction of the
-///    last plan. A prefix off that path restores the deepest common
-///    snapshot and replays the remaining deltas through the journaled
-///    setters, so the next restore undoes them like executed writes.
-///  - Nodes live in a per-thread arena of 256 KB (2048 compact headers
-///    and a 192 KB record heap) that is flushed when full. A backend owns
-///    it by a generation id, bumped on Bind/Unbind/DeployContract/
-///    FundAccount/MarkDeployed/Rewind and on every claim, so a stale arena
-///    never matches. Memory scales with executing threads, not with
-///    leased backends.
+/// Transaction memo. Mutated siblings and mask probes run the same
+/// transaction on the same state again and again, whatever ran before it,
+/// so every transaction is looked up before it executes:
+///  - The key is what the outcome depends on within one Bind: the world
+///    state's 128-bit fingerprint (WorldState::fingerprint), the block
+///    number and timestamp, and the full request. A key seen twice is
+///    recorded, with its TxOutcome and a redo delta of its state writes
+///    (most keys never recur, and recording costs a copy). Serving it
+///    copies the outcome and replays the writes through the journaled
+///    setters, so the next restore undoes them like executed writes; the
+///    host still sees OnSequenceStart and one OnTransactionStart per
+///    transaction.
+///  - A transaction that reached the host (a CallEvent with `to_external`)
+///    is never recorded: its outcome depends on the plan's host seed. The
+///    transactions after it still are, since their keys carry the state
+///    the host call left behind. Nor is one whose writes install code.
+///  - Entries live in a per-thread memo of 256 KB (a 4096-slot index
+///    holding at most 2048 keys, and a 192 KB record heap) that is flushed
+///    when full. A backend owns it by a generation id, bumped on Bind/
+///    Unbind/DeployContract/FundAccount/MarkDeployed/Rewind and on every
+///    claim, so a stale memo never matches. Memory scales with executing
+///    threads, not with leased backends.
 class SessionBackend : public ExecutionBackend {
  public:
   /// Constructs an unbound backend (the pool path); call Bind() before use.
@@ -334,9 +331,8 @@ class SessionBackend : public ExecutionBackend {
   /// Aborts with a diagnostic when used before Bind() — a contract
   /// violation that must not degrade to silent UB in release builds.
   void CheckBound() const;
-  /// Forgets the prefix cache: the next plan claims a flushed arena and
-  /// starts from the deployed mark.
-  void InvalidatePrefixCache();
+  /// Forgets the transaction memo: the next plan claims a flushed one.
+  void InvalidateMemo();
 
   TraceRecorder trace_;
   Host* host_ = nullptr;
@@ -344,22 +340,13 @@ class SessionBackend : public ExecutionBackend {
   ChainSession::SessionSnapshot deployed_{};
   bool marked_ = false;  ///< MarkDeployed ran since Bind
 
-  /// One cached transaction the journal currently holds, with the
-  /// snapshot taken right after it.
-  struct PathStep {
-    uint32_t node;
-    ChainSession::SessionSnapshot after;
-  };
-  std::vector<PathStep> path_;
-  std::vector<uint32_t> hits_;  ///< scratch: the plan's cached prefix
-  WorldState::Delta delta_;     ///< scratch: the last executed tx's writes
+  WorldState::Delta delta_;  ///< scratch: the last executed tx's writes
   std::vector<WorldState::Delta::Write> writes_;  ///< scratch: a replay
-  uint64_t generation_ = 0;     ///< id this backend claims its arena by
+  uint64_t generation_ = 0;  ///< id this backend claims its memo by
   /// Atomic: progress snapshots may read them while an async worker
   /// executes a parked wave.
   std::atomic<uint64_t> executed_txs_{0};
   std::atomic<uint64_t> served_txs_{0};
-  std::atomic<uint64_t> replayed_txs_{0};
 };
 
 /// Thread-safe pool of reusable SessionBackends. Workers lease a backend for

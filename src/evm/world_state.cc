@@ -1,5 +1,6 @@
 #include "evm/world_state.h"
 
+#include <cstring>
 #include <utility>
 
 namespace mufuzz::evm {
@@ -147,6 +148,127 @@ bool operator==(const Storage& a, const Storage& b) {
   return equal;
 }
 
+// -------------------------------------------------------------- Fingerprint --
+
+namespace {
+
+/// Hashes one fingerprint item into both lanes at once. Each lane runs its
+/// own seed and odd multiplier; every step (xor a word, multiply, fold the
+/// high half down) is a bijection of the running value, and a SplitMix64
+/// finalizer spreads the result.
+class ItemHasher {
+ public:
+  /// `tag` keeps items of different kinds with equal fields apart.
+  explicit ItemHasher(uint64_t tag) { Word(tag); }
+
+  void Word(uint64_t w) {
+    lo_ = (lo_ ^ w) * 0x9e3779b97f4a7c15ULL;
+    lo_ ^= lo_ >> 32;
+    hi_ = (hi_ ^ w) * 0xc2b2ae3d27d4eb4fULL;
+    hi_ ^= hi_ >> 29;
+  }
+  void Words(const uint8_t* p, size_t n) {
+    for (; n >= 8; p += 8, n -= 8) {
+      uint64_t w;
+      std::memcpy(&w, p, 8);
+      Word(w);
+    }
+    if (n != 0) {
+      uint64_t w = 0;
+      std::memcpy(&w, p, n);
+      Word(w);
+    }
+  }
+  void Addr(const Address& a) { Words(a.bytes.data(), a.bytes.size()); }
+  void Word256(const U256& v) {
+    for (int i = 0; i < 4; ++i) Word(v.limb(i));
+  }
+
+  StateFingerprint Finish() const { return {Final(lo_), Final(hi_)}; }
+
+ private:
+  static uint64_t Final(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  uint64_t lo_ = 0x243f6a8885a308d3ULL;
+  uint64_t hi_ = 0x13198a2e03707344ULL;
+};
+
+enum ItemTag : uint64_t {
+  kAccountItem = 1,
+  kBalanceItem,
+  kCodeItem,
+  kSelfDestructedItem,
+  kSlotItem,
+};
+
+StateFingerprint AccountTerm(const Address& a) {
+  ItemHasher h(kAccountItem);
+  h.Addr(a);
+  return h.Finish();
+}
+
+StateFingerprint BalanceTerm(const Address& a, const U256& balance) {
+  ItemHasher h(kBalanceItem);
+  h.Addr(a);
+  h.Word256(balance);
+  return h.Finish();
+}
+
+StateFingerprint CodeTerm(const Address& a, const Bytes& code) {
+  ItemHasher h(kCodeItem);
+  h.Addr(a);
+  h.Word(code.size());
+  h.Words(code.data(), code.size());
+  return h.Finish();
+}
+
+StateFingerprint SelfDestructedTerm(const Address& a) {
+  ItemHasher h(kSelfDestructedItem);
+  h.Addr(a);
+  return h.Finish();
+}
+
+StateFingerprint SlotTerm(const Address& a, const U256& key, const U256& value,
+                          uint32_t taint) {
+  ItemHasher h(kSlotItem);
+  h.Addr(a);
+  h.Word256(key);
+  h.Word256(value);
+  h.Word(taint);
+  return h.Finish();
+}
+
+void Add(StateFingerprint* fp, const StateFingerprint& term) {
+  fp->lo += term.lo;
+  fp->hi += term.hi;
+}
+
+void Sub(StateFingerprint* fp, const StateFingerprint& term) {
+  fp->lo -= term.lo;
+  fp->hi -= term.hi;
+}
+
+}  // namespace
+
+StateFingerprint WorldState::FingerprintOf(const AccountMap& accounts) {
+  StateFingerprint fp;
+  for (const auto& [addr, a] : accounts) {
+    Add(&fp, AccountTerm(addr));
+    if (!a.balance.IsZero()) Add(&fp, BalanceTerm(addr, a.balance));
+    if (a.HasCode()) Add(&fp, CodeTerm(addr, a.code));
+    if (a.self_destructed) Add(&fp, SelfDestructedTerm(addr));
+    a.storage.ForEachSlot(
+        [&](const U256& key, const U256& value, uint32_t taint) {
+          Add(&fp, SlotTerm(addr, key, value, taint));
+        });
+  }
+  return fp;
+}
+
 // --------------------------------------------------------------- WorldState --
 
 Account& WorldState::Ensure(const Address& addr) {
@@ -158,6 +280,7 @@ Account& WorldState::Ensure(const Address& addr) {
     e.addr = addr;
     journal_.push_back(std::move(e));
   }
+  Add(&fingerprint_, AccountTerm(addr));
   return accounts_.try_emplace(addr).first->second;
 }
 
@@ -175,6 +298,8 @@ void WorldState::WriteBalance(const Address& addr, Account& a,
     e.prev_word = a.balance;
     journal_.push_back(std::move(e));
   }
+  if (!a.balance.IsZero()) Sub(&fingerprint_, BalanceTerm(addr, a.balance));
+  if (!value.IsZero()) Add(&fingerprint_, BalanceTerm(addr, value));
   a.balance = value;
 }
 
@@ -195,8 +320,13 @@ bool WorldState::Transfer(const Address& from, const Address& to,
 }
 
 void WorldState::SetCode(const Address& addr, Bytes code) {
-  Account& a = Ensure(addr);
+  WriteCode(addr, Ensure(addr), std::move(code));
+}
+
+void WorldState::WriteCode(const Address& addr, Account& a, Bytes code) {
   if (a.code == code) return;
+  if (a.HasCode()) Sub(&fingerprint_, CodeTerm(addr, a.code));
+  if (!code.empty()) Add(&fingerprint_, CodeTerm(addr, code));
   if (journaling()) {
     JournalEntry e;
     e.kind = JournalEntry::Kind::kCode;
@@ -210,9 +340,19 @@ void WorldState::SetCode(const Address& addr, Bytes code) {
 
 void WorldState::SetStorage(const Address& addr, const U256& key,
                             const U256& value, uint32_t taint) {
-  Account& a = Ensure(addr);
+  WriteStorage(addr, Ensure(addr), key, value, taint);
+}
+
+void WorldState::WriteStorage(const Address& addr, Account& a, const U256& key,
+                              const U256& value, uint32_t taint) {
   auto [prev, prev_taint] = a.storage.Exchange(key, value, taint);
   if (prev == value && prev_taint == taint) return;  // no-op: nothing to undo
+  if (!prev.IsZero() || prev_taint != 0) {
+    Sub(&fingerprint_, SlotTerm(addr, key, prev, prev_taint));
+  }
+  if (!value.IsZero() || taint != 0) {
+    Add(&fingerprint_, SlotTerm(addr, key, value, taint));
+  }
   if (journaling()) {
     JournalEntry e;
     e.kind = JournalEntry::Kind::kStorage;
@@ -225,8 +365,12 @@ void WorldState::SetStorage(const Address& addr, const U256& key,
 }
 
 void WorldState::MarkSelfDestructed(const Address& addr) {
-  Account& a = Ensure(addr);
+  WriteSelfDestructed(addr, Ensure(addr));
+}
+
+void WorldState::WriteSelfDestructed(const Address& addr, Account& a) {
   if (a.self_destructed) return;
+  Add(&fingerprint_, SelfDestructedTerm(addr));
   if (journaling()) {
     JournalEntry e;
     e.kind = JournalEntry::Kind::kSelfDestructed;
@@ -238,18 +382,21 @@ void WorldState::MarkSelfDestructed(const Address& addr) {
 }
 
 size_t WorldState::Snapshot() {
-  marks_.push_back(journal_.size());
+  marks_.push_back({journal_.size(), fingerprint_});
   return marks_.size() - 1;
 }
 
-void WorldState::UnwindTo(size_t mark) {
+void WorldState::UnwindTo(const Mark& mark) {
+  // Unwinding rebuilds the state the mark was taken in, so the fingerprint
+  // saved with it is the digest of that state: no per-entry rehashing.
+  fingerprint_ = mark.fingerprint;
   // Runs of entries usually name one account: look it up once per run.
   // Unwinding never inserts, so the cached iterator stays valid until the
   // account's own kCreateAccount erases it.
   Address run_addr;
   auto it = accounts_.end();
   bool in_run = false;
-  while (journal_.size() > mark) {
+  while (journal_.size() > mark.journal) {
     JournalEntry& e = journal_.back();
     if (!in_run || !(run_addr == e.addr)) {
       run_addr = e.addr;
@@ -321,23 +468,30 @@ void WorldState::CaptureDelta(size_t journal_pos, Delta* out) const {
 
 void WorldState::ApplyDelta(std::span<const Delta::Write> writes,
                             std::span<const Bytes> codes) {
+  // The same journaled writes as the setters, with the account resolved
+  // once per run of records naming it (Ensure never moves map nodes).
   size_t code = 0;
+  const Address* last_addr = nullptr;
+  Account* a = nullptr;
   for (const Delta::Write& w : writes) {
+    if (last_addr == nullptr || !(*last_addr == w.addr)) {
+      a = &Ensure(w.addr);
+      last_addr = &w.addr;
+    }
     switch (w.kind) {
       case JournalEntry::Kind::kCreateAccount:
-        Touch(w.addr);
-        break;
+        break;  // Ensure created it
       case JournalEntry::Kind::kBalance:
-        SetBalance(w.addr, w.word);
+        WriteBalance(w.addr, *a, w.word);
         break;
       case JournalEntry::Kind::kStorage:
-        SetStorage(w.addr, w.key, w.word, w.taint);
+        WriteStorage(w.addr, *a, w.key, w.word, w.taint);
         break;
       case JournalEntry::Kind::kCode:
-        SetCode(w.addr, codes[code++]);
+        WriteCode(w.addr, *a, codes[code++]);
         break;
       case JournalEntry::Kind::kSelfDestructed:
-        MarkSelfDestructed(w.addr);
+        WriteSelfDestructed(w.addr, *a);
         break;
     }
   }

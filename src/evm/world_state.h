@@ -75,6 +75,12 @@ class Storage {
   /// snapshot/revert, not just slot values.
   std::unordered_map<U256, uint32_t, U256::Hasher> taints() const;
 
+  /// Calls fn(key, value, taint) for every live slot (order unspecified).
+  template <typename Fn>
+  void ForEachSlot(Fn&& fn) const {
+    ForEach([&fn](const Entry& e) { fn(e.key, e.value, e.taint); });
+  }
+
   /// Order-independent equality over live (value, taint) entries — exactly
   /// the old slots_ == slots_ && taints_ == taints_ comparison.
   friend bool operator==(const Storage& a, const Storage& b);
@@ -142,6 +148,16 @@ struct Account {
   }
 };
 
+/// A 128-bit digest of a world state's contents (see
+/// WorldState::fingerprint): two independent 64-bit lanes.
+struct StateFingerprint {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+
+  friend bool operator==(const StateFingerprint&,
+                         const StateFingerprint&) = default;
+};
+
 /// The mutable world the fuzzer executes against: a map of accounts with
 /// journaled copy-on-write snapshot/restore.
 ///
@@ -160,8 +176,13 @@ struct Account {
 ///    journaling entirely (nothing could ever unwind past that point).
 ///  - Snapshot ids form a stack: reverting or committing id `i` invalidates
 ///    every id >= i, and `RestoreKeep(i)` keeps exactly ids 0..i alive.
+///  - fingerprint() always equals FingerprintOf(accounts()): every setter
+///    moves it as it writes (journaling or not), and unwinding to a mark
+///    restores the value saved with the mark.
 class WorldState {
  public:
+  using AccountMap = std::unordered_map<Address, Account, Address::Hasher>;
+
   /// Returns the account or nullptr if it was never created. The returned
   /// pointer is read-only and valid only until the next mutation (the
   /// accounts map may rehash).
@@ -247,6 +268,21 @@ class WorldState {
   void ApplyDelta(std::span<const Delta::Write> writes,
                   std::span<const Bytes> codes);
 
+  /// Digest of everything a transaction can observe. Each item (an
+  /// account's existence; its balance when nonzero; its code when
+  /// nonempty; its self-destructed flag when set; every storage slot
+  /// whose value or taint is nonzero, as Storage::Load/LoadTaint read an
+  /// absent slot as (0, 0)) adds a mixed hash of its fields to each lane,
+  /// mod 2^64. The setters keep it current as they write, and a restore
+  /// takes the value saved with the snapshot's mark, so reading it is
+  /// O(1). It depends only on the contents, not on the writes that made
+  /// them: equal states have equal fingerprints, and two given distinct
+  /// states share one with probability about 2^-128.
+  StateFingerprint fingerprint() const { return fingerprint_; }
+  /// The same digest computed from scratch over `accounts` (the tests
+  /// check the incremental one against it).
+  static StateFingerprint FingerprintOf(const AccountMap& accounts);
+
   size_t account_count() const { return accounts_.size(); }
   /// Undo entries currently recorded (tests/benches observe journal growth).
   size_t journal_size() const { return journal_.size(); }
@@ -254,10 +290,7 @@ class WorldState {
   size_t snapshot_depth() const { return marks_.size(); }
 
   /// Whole-state read access for oracles, dumps, and the differential tests.
-  const std::unordered_map<Address, Account, Address::Hasher>& accounts()
-      const {
-    return accounts_;
-  }
+  const AccountMap& accounts() const { return accounts_; }
 
  private:
   /// One undo record: enough to restore the single field a setter changed.
@@ -284,17 +317,29 @@ class WorldState {
   /// and an unwind could erase the account out from under it. (Inserts do
   /// not move map nodes, so a setter may hold it across another Ensure.)
   Account& Ensure(const Address& addr);
-  /// SetBalance on an account already resolved by Ensure.
+  /// The setters on an account already resolved by Ensure: each journals
+  /// the field's old value and moves the fingerprint to the new one.
   void WriteBalance(const Address& addr, Account& a, const U256& value);
+  void WriteStorage(const Address& addr, Account& a, const U256& key,
+                    const U256& value, uint32_t taint);
+  void WriteCode(const Address& addr, Account& a, Bytes code);
+  void WriteSelfDestructed(const Address& addr, Account& a);
+
+  /// Where a snapshot was taken: the journal length, and the fingerprint
+  /// that unwinding to that length restores.
+  struct Mark {
+    size_t journal;
+    StateFingerprint fingerprint;
+  };
 
   bool journaling() const { return !marks_.empty(); }
-  /// Undoes journal entries until only `mark` remain.
-  void UnwindTo(size_t mark);
+  /// Undoes journal entries until only `mark.journal` remain.
+  void UnwindTo(const Mark& mark);
 
-  std::unordered_map<Address, Account, Address::Hasher> accounts_;
+  AccountMap accounts_;
   std::vector<JournalEntry> journal_;
-  /// marks_[i] = journal length when snapshot id i was taken.
-  std::vector<size_t> marks_;
+  std::vector<Mark> marks_;  ///< marks_[i] belongs to snapshot id i
+  StateFingerprint fingerprint_;
 };
 
 /// The field a journal entry names, with its final value.

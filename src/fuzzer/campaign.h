@@ -192,7 +192,7 @@ class Campaign {
     /// Code-cache counters at snapshot time (diagnostics; see
     /// CampaignResult::code_cache for the caveats).
     evm::CodeCacheStats code_cache;
-    /// Prefix-cache counters at snapshot time (diagnostics; see
+    /// Transaction-memo counters at snapshot time (diagnostics; see
     /// CampaignResult::prefix_cache).
     evm::PrefixCacheStats prefix_cache;
     /// Heap allocations since the end of SeedCorpus (0 unless the build has

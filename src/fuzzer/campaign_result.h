@@ -50,7 +50,7 @@ struct CampaignResult {
   /// in the process (other campaigns, worker replica count) — which is why
   /// operator== below excludes this field.
   evm::CodeCacheStats code_cache;
-  /// Transactions executed vs. served from the backend's prefix cache,
+  /// Transactions executed vs. served from the backend's transaction memo,
   /// sampled at finalization. Diagnostics only, excluded from operator==
   /// like `code_cache`: reuse depends on which plans shared a thread.
   evm::PrefixCacheStats prefix_cache;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +132,43 @@ TEST(FuzzServiceValidationTest, RejectsWireKnobsOutsideTheirRanges) {
   edge.config.coverage_samples = kMaxCoverageSamples;
   edge.config.mask_stride_divisor = kMaxMaskStrideDivisor;
   ASSERT_TRUE(service.Submit(edge).ok());
+  EXPECT_EQ(service.WaitAll().size(), 1u);
+}
+
+TEST(FuzzServiceValidationTest, RejectsFailureProbabilityOutsideUnitRange) {
+  // The wire carries call_failure_probability as a raw double: NaN and
+  // values outside [0, 1] must not reach FuzzingHost.
+  FuzzService service;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5,
+                     std::numeric_limits<double>::infinity()}) {
+    FuzzJob job = MakeJob("bad", corpus::CrowdsaleExample().source, 1, 50);
+    job.config.call_failure_probability = bad;
+    Result<JobTicket> ticket = service.Submit(job);
+    ASSERT_FALSE(ticket.ok()) << bad;
+    EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(ticket.status().message().find("call_failure_probability"),
+              std::string::npos)
+        << ticket.status().ToString();
+  }
+  for (double edge : {0.0, 1.0}) {
+    FuzzJob job = MakeJob("edge", corpus::CrowdsaleExample().source, 1, 20);
+    job.config.call_failure_probability = edge;
+    ASSERT_TRUE(service.Submit(job).ok()) << edge;
+  }
+  EXPECT_EQ(service.WaitAll().size(), 2u);
+}
+
+TEST(FuzzServiceValidationTest, RejectsSourceOverTheSizeLimit) {
+  FuzzService service;
+  FuzzJob job = MakeJob("big", std::string(kMaxSourceBytes + 1, ' '), 1, 20);
+  Result<JobTicket> ticket = service.Submit(job);
+  ASSERT_FALSE(ticket.ok());
+  EXPECT_EQ(ticket.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ticket.status().message().find("source"), std::string::npos)
+      << ticket.status().ToString();
+  // At the limit the job is admitted (and fails to compile, in band).
+  job.source.resize(kMaxSourceBytes);
+  ASSERT_TRUE(service.Submit(job).ok());
   EXPECT_EQ(service.WaitAll().size(), 1u);
 }
 

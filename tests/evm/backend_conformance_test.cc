@@ -24,10 +24,14 @@
 namespace mufuzz::evm {
 namespace {
 
+/// Plain bytes only, with no padding: gtest lists an unprintable parameter
+/// byte by byte in the test's name, so a pointer here (a std::string's
+/// buffer) would give the tests a different name in every build.
 struct BackendCase {
-  std::string name;
+  char name[36];
   int async_workers;  ///< 0 = SessionBackend
 };
+static_assert(sizeof(BackendCase) == 40, "BackendCase must have no padding");
 
 std::unique_ptr<ExecutionBackend> MakeBackend(const BackendCase& c) {
   if (c.async_workers == 0) return std::make_unique<SessionBackend>();
@@ -291,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BackendCase{"session", 0}, BackendCase{"async1", 1},
                       BackendCase{"async2", 2}, BackendCase{"async4", 4}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Differential test for SessionBackend's prefix cache: plans that share
-// prefixes with earlier plans (served from cached outcomes, rebuilt from
-// journal marks and replayed deltas) must produce exactly what the same
-// plan produces right after Rewind(), which runs it cold. Streams mimic the
-// fuzzer's children — tail mutations, swaps, exact repeats, extensions —
-// interleaved with unrelated plans, two backends taking the thread's arena
-// from each other, and Rewind/FundAccount calls between plans.
+// Differential test for SessionBackend's transaction memo: plans whose
+// transactions ran before on the same state (served from recorded outcomes
+// and replayed deltas) must produce exactly what the same plan produces
+// right after Rewind(), which runs it cold. Streams mimic the fuzzer's
+// children — tail mutations, swaps, exact repeats, extensions — interleaved
+// with unrelated plans, two backends taking the thread's memo from each
+// other, and Rewind/FundAccount calls between plans; further streams put
+// the repeats behind transactions that differ, which only a state key can
+// serve.
 //
-// The WorldState case checks the delta primitives the cache replays:
+// The WorldState case checks the delta primitives the memo replays:
 // CaptureDelta, unwind, ApplyDelta must rebuild the captured state, over
 // random op streams checked against the copy-based oracle.
 
@@ -206,6 +208,25 @@ class Target {
     return stream;
   }
 
+  /// A call with an unknown selector: the dispatcher reverts, so the
+  /// state is left as it was. `variant` makes each one a new request.
+  PreparedTx RevertingTx(Rng* rng, uint8_t variant) const {
+    PreparedTx prepared = RandomTx(rng);
+    prepared.request.value = U256(0);
+    prepared.request.data = {0xff, 0xff, 0xff, 0xff, variant};
+    return prepared;
+  }
+
+  /// A zero-value call to a sender, which has no code: it succeeds and
+  /// writes nothing.
+  PreparedTx NoOpTx(uint8_t variant) const {
+    PreparedTx prepared;
+    prepared.request.to = senders_[2];
+    prepared.request.sender = senders_[0];
+    prepared.request.data = {variant};
+    return prepared;
+  }
+
   const Address& sender(size_t i) const { return senders_[i]; }
   RecordingHost& host() { return host_; }
 
@@ -273,7 +294,7 @@ TEST_P(PrefixCacheDiffTest, WarmStreamsMatchColdRuns) {
   Rng rng(0x9e3779b97f4a7c15ULL);
   PrefixCacheStats stats;
   // Two backends on this thread, each fuzzing its own contract, take the
-  // arena from each other in bursts.
+  // memo from each other in bursts.
   for (size_t c = 0; c + 1 < contracts.size(); c += 2) {
     Target targets[2] = {
         Target(contracts[c], GetParam().failure_probability,
@@ -293,7 +314,7 @@ TEST_P(PrefixCacheDiffTest, WarmStreamsMatchColdRuns) {
     }
 
     size_t next[2] = {0, 0};
-    SequenceOutcome slots[2];  // reused: cached outcomes land in warm slots
+    SequenceOutcome slots[2];  // reused: served outcomes land in warm slots
     int turn = 0;
     while (next[0] < streams[0].size() || next[1] < streams[1].size()) {
       if (next[turn] == streams[turn].size()) turn ^= 1;
@@ -323,11 +344,144 @@ TEST_P(PrefixCacheDiffTest, WarmStreamsMatchColdRuns) {
       stats += backend.prefix_cache_stats();
     }
   }
-  // The streams are built to share prefixes: the cache must serve, and
-  // must rebuild prefixes off the journal's path from deltas.
+  // The streams are built to share prefixes: the memo must serve.
   EXPECT_GT(stats.served_txs, stats.executed_txs / 10)
       << "served " << stats.served_txs << ", executed " << stats.executed_txs;
-  EXPECT_GT(stats.replayed_txs, 0u);
+}
+
+/// Whether the cold run's transaction `i` called out to the host.
+bool ReachedHost(const TxOutcome& txo) {
+  for (const CallEvent& ev : txo.trace.calls()) {
+    if (ev.to_external) return true;
+  }
+  return false;
+}
+
+/// Per plan of `stream`, the transactions a cache keyed by the request
+/// chain could serve at most: those whose whole chain up to them ran in an
+/// earlier plan and never reached the host there.
+std::vector<uint64_t> ChainServableBound(const std::vector<SequencePlan>& stream,
+                                         const std::vector<ColdRun>& cold) {
+  auto same_request = [](const TransactionRequest& a,
+                         const TransactionRequest& b) {
+    return a.to == b.to && a.sender == b.sender && a.value == b.value &&
+           a.data == b.data && a.gas == b.gas;
+  };
+  std::vector<uint64_t> bound(stream.size(), 0);
+  for (size_t p = 0; p < stream.size(); ++p) {
+    const std::vector<PreparedTx>& txs = stream[p].txs;
+    for (size_t i = 0; i < txs.size(); ++i) {
+      if (ReachedHost(cold[p].outcome.txs[i])) break;
+      bool seen = false;
+      for (size_t q = 0; q < p && !seen; ++q) {
+        const std::vector<PreparedTx>& earlier = stream[q].txs;
+        if (earlier.size() <= i) continue;
+        seen = true;
+        for (size_t k = 0; k <= i && seen; ++k) {
+          seen = same_request(earlier[k].request, txs[k].request);
+        }
+      }
+      if (!seen) break;
+      ++bound[p];
+    }
+  }
+  return bound;
+}
+
+/// The three shapes of StateKeyedStream, in stream order.
+enum Shape { kReverted, kInserted, kAfterHost, kShapes };
+const char* const kShapeNames[kShapes] = {"reverted", "inserted", "after-host"};
+
+/// Plans only a state key can serve past their first difference, each
+/// tagged with its shape:
+///  - kReverted: [A, R_k, B, C] with every R_k reverting, so B and C run on
+///    A's post-state each time;
+///  - kInserted: [A, N_k, B, C] with N_k writing nothing (reverting, or a
+///    call to a code-less account);
+///  - kAfterHost: a prefix whose last transaction reached the host (found
+///    by running random candidates cold), then B and C, under fresh host
+///    seeds. Empty when no candidate of the contract reaches the host.
+std::vector<std::pair<SequencePlan, Shape>> StateKeyedStream(Target* target,
+                                                             Rng* rng) {
+  std::vector<std::pair<SequencePlan, Shape>> stream;
+  auto add = [&](std::vector<PreparedTx> txs, Shape shape) {
+    SequencePlan plan;
+    plan.txs = std::move(txs);
+    plan.host_seed = rng->NextU64();
+    for (size_t i = 0; i < plan.txs.size(); ++i) {
+      plan.txs[i].tag = static_cast<int>(100 * stream.size() + i);
+    }
+    stream.push_back({std::move(plan), shape});
+  };
+  const PreparedTx a = target->RandomTx(rng), b = target->RandomTx(rng),
+                   c = target->RandomTx(rng);
+  for (uint8_t k = 0; k < 6; ++k) {
+    add({a, target->RevertingTx(rng, k), b, c}, kReverted);
+  }
+  for (uint8_t k = 0; k < 6; ++k) {
+    add({a,
+         k % 2 == 0 ? target->NoOpTx(k) : target->RevertingTx(rng, 0x80 + k),
+         b, c},
+        kInserted);
+  }
+  std::vector<SequencePlan> candidates(24);
+  for (SequencePlan& plan : candidates) {
+    for (int i = 0; i < 3; ++i) plan.txs.push_back(target->RandomTx(rng));
+  }
+  const std::vector<ColdRun> probes = ColdRuns(target, candidates);
+  for (size_t p = 0; p < candidates.size(); ++p) {
+    size_t h = 0;
+    while (h < 3 && !ReachedHost(probes[p].outcome.txs[h])) ++h;
+    if (h == 3) continue;
+    std::vector<PreparedTx> txs(candidates[p].txs.begin(),
+                                candidates[p].txs.begin() + h + 1);
+    txs.push_back(b);
+    txs.push_back(c);
+    for (int k = 0; k < 8; ++k) add(txs, kAfterHost);
+    break;
+  }
+  return stream;
+}
+
+TEST_P(PrefixCacheDiffTest, StateKeyedStreamsMatchColdRuns) {
+  const std::vector<corpus::CorpusEntry> contracts = Contracts();
+  Rng rng(0x57a7e);
+  uint64_t served[kShapes] = {}, txs[kShapes] = {}, chain[kShapes] = {};
+  for (const corpus::CorpusEntry& contract : contracts) {
+    Target target(contract, GetParam().failure_probability,
+                  ConfigFor(GetParam()));
+    SessionBackend backend;
+    if (!target.Prepare(&backend)) continue;
+    const auto shaped = StateKeyedStream(&target, &rng);
+    std::vector<SequencePlan> stream;
+    for (const auto& [plan, shape] : shaped) stream.push_back(plan);
+    const std::vector<ColdRun> cold = ColdRuns(&target, stream);
+    const std::vector<uint64_t> bound = ChainServableBound(stream, cold);
+    SequenceOutcome slot;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      const Shape shape = shaped[i].second;
+      const uint64_t before = backend.prefix_cache_stats().served_txs;
+      target.host().TakeLog();
+      backend.ExecuteSequenceInto(stream[i], &slot);
+      served[shape] += backend.prefix_cache_stats().served_txs - before;
+      txs[shape] += stream[i].txs.size();
+      chain[shape] += bound[i];
+      const std::string where = contract.name + " " + kShapeNames[shape] +
+                                " plan " + std::to_string(i);
+      ExpectSameOutcome(slot, cold[i].outcome, where);
+      EXPECT_TRUE(backend.state().accounts() == cold[i].state)
+          << where << ": final world state differs from the cold run";
+      EXPECT_EQ(target.host().TakeLog(), cold[i].host_log)
+          << where << ": the host was armed differently";
+    }
+  }
+  // Chain keys stop at the first transaction that differs or reached the
+  // host; the state key serves what follows whenever the state repeats.
+  for (int shape = 0; shape < kShapes; ++shape) {
+    EXPECT_GT(served[shape], chain[shape] + chain[shape] / 2)
+        << kShapeNames[shape] << ": served " << served[shape] << " of "
+        << txs[shape] << "; chain keys could serve at most " << chain[shape];
+  }
 }
 
 TEST_P(PrefixCacheDiffTest, AsyncReplicasMatchColdRuns) {
@@ -358,14 +512,13 @@ TEST_P(PrefixCacheDiffTest, AsyncReplicasMatchColdRuns) {
     uint64_t txs = 0;
     for (const SequencePlan& plan : stream) txs += plan.txs.size();
     EXPECT_EQ(stats.executed_txs + stats.served_txs, txs);
-    EXPECT_LE(stats.replayed_txs, stats.served_txs);
   }
 }
 
 TEST_P(PrefixCacheDiffTest, ExecutingBeforeMarkDeployedMarksImplicitly) {
-  // The cache's journal marks sit above the deployed mark, so a backend
-  // that never got one takes it at its first plan: every plan then runs as
-  // if rewound to the state it found there.
+  // Every plan restores the deployed mark, so a backend that never got one
+  // takes it at its first plan: every plan then runs as if rewound to the
+  // state it found there.
   Target target(Contracts()[0], GetParam().failure_probability,
                 ConfigFor(GetParam()));
   SessionBackend marked;
@@ -426,8 +579,8 @@ class Lane {
 };
 
 TEST_P(PrefixCacheDiffTest, BackendMovingBetweenThreadsMatchesColdRuns) {
-  // A backend that leaves a thread and comes back must not trust the arena
-  // it left there: its journal path now belongs to another thread's arena.
+  // A backend that leaves a thread and comes back must not trust the memo
+  // it left there, which another backend may have claimed since.
   // Each round runs P twice on one thread (the second run records it), an
   // unrelated Q twice on the other, then an extension of P back on the
   // first.

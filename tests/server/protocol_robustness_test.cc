@@ -17,6 +17,7 @@
 #include <string>
 
 #include "corpus/builtin.h"
+#include "engine/fuzz_service.h"
 #include "lang/parser.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -358,6 +359,33 @@ TEST_F(ProtocolSocketTest, OutOfRangeKnobAnswersErrorAndDaemonServes) {
       << rejected.status().ToString();
   // Same connection, next job: served to completion.
   request.config.initial_seeds = 4;
+  request.config.max_executions = 50;
+  auto ticket = client.Submit(request);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  auto outcome = client.Wait(*ticket);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->has_result) << outcome->error;
+}
+
+TEST_F(ProtocolSocketTest, OversizeSourceAnswersErrorAndDaemonServes) {
+  MufuzzClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  // Fits in one frame, but is far longer than any contract the daemon is
+  // meant to compile.
+  SubmitRequest request;
+  request.name = "oversize";
+  request.source = corpus::CrowdsaleExample().source +
+                   std::string(engine::kMaxSourceBytes, ' ');
+  ASSERT_LT(request.source.size(), kMaxFrameLength);
+  auto rejected = client.Submit(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find("source"), std::string::npos)
+      << rejected.status().ToString();
+  // Same connection, next job: served to completion.
+  request.name = corpus::CrowdsaleExample().name;
+  request.source = corpus::CrowdsaleExample().source;
   request.config.max_executions = 50;
   auto ticket = client.Submit(request);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
