@@ -148,6 +148,15 @@ class TxMemo {
   /// Whether the slot holds an outcome (else it was only sighted once).
   bool recorded(uint32_t slot) const { return slots_[slot].offset != kNone; }
 
+  /// The recorded slot's TxOutcome::record_id: the owner generation above
+  /// the record's 8-byte heap offset, plus one so it is never 0. Records
+  /// never move and generations are never reused, so no two records ever
+  /// share an id (a generation would need 2^48 claims to reach the top).
+  uint64_t RecordId(uint32_t slot) const {
+    static_assert(kHeapBytes / 8 < (1 << kOffsetBits));
+    return (owner_ << kOffsetBits) | ((slots_[slot].offset >> 3) + 1);
+  }
+
   /// Notes a first sighting of `key` in the empty slot a Find returned.
   void Sight(uint32_t slot, const TxKey& key) {
     if (entries_ == kMaxEntries) {
@@ -181,22 +190,22 @@ class TxMemo {
   }
 
   /// Records the just-executed transaction of a sighted slot: its key,
-  /// request, outcome and writes. Leaves the slot sighted when the record
-  /// is too big or the delta writes code; flags the memo full when the
-  /// heap is.
-  void Record(uint32_t slot, const TxKey& key,
+  /// request, outcome and writes, and returns true. Leaves the slot
+  /// sighted when the record is too big or the delta writes code; flags
+  /// the memo full when the heap is.
+  bool Record(uint32_t slot, const TxKey& key,
               const TransactionRequest& request, const TxOutcome& outcome,
               const WorldState::Delta& delta) {
-    if (!delta.codes().empty()) return;
+    if (!delta.codes().empty()) return false;
     size_t bytes = Padded(sizeof(RecordHead)) + Padded(request.data.size());
     outcome.trace.ForEachBuffer(
         [&bytes](const auto& buffer) { bytes += PaddedSize(buffer); });
     bytes += PaddedSize(outcome.cmps);
     bytes += Padded(delta.writes().size_bytes());
-    if (bytes > kMaxRecordBytes) return;
+    if (bytes > kMaxRecordBytes) return false;
     if (top_ + bytes > kHeapBytes) {
       full_ = true;
-      return;
+      return false;
     }
 
     RecordHead rec;
@@ -227,6 +236,7 @@ class TxMemo {
     std::memcpy(heap_.get() + top_, &rec, sizeof(RecordHead));
     slots_[slot].offset = static_cast<uint32_t>(top_);
     top_ = pos;
+    return true;
   }
 
  private:
@@ -236,6 +246,9 @@ class TxMemo {
     uint32_t epoch = 0;
     uint32_t offset = kNone;  ///< the entry's RecordHead; kNone if sighted
   };
+
+  /// Low bits of a record id: the record's heap offset in 8-byte units.
+  static constexpr int kOffsetBits = 16;
 
   /// Fixed-size head of an entry's bytes. Then, each padded to 8 bytes:
   /// the calldata, the trace buffers in ForEachBuffer order, the
@@ -490,6 +503,7 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
     const TxMemo::Probe probe = memo.Find(key, ptx.request);
     if (probe.found && memo.recorded(probe.slot)) {
       memo.LoadOutcome(probe.slot, &txo);
+      txo.record_id = memo.RecordId(probe.slot);
       memo.LoadWrites(probe.slot, &writes_);
       session_->Replay(writes_);
       ++served;
@@ -511,15 +525,14 @@ void SessionBackend::ExecuteSequenceInto(const SequencePlan& plan,
           memo.Sight(probe.slot, key);
         } else {
           session_->state().CaptureDelta(journal_pos, &delta_);
-          memo.Record(probe.slot, key, ptx.request, txo, delta_);
+          if (memo.Record(probe.slot, key, ptx.request, txo, delta_)) {
+            txo.record_id = memo.RecordId(probe.slot);
+          }
         }
       }
     }
     txo.tag = ptx.tag;
     out->instructions += txo.trace.instruction_count();
-    for (const BranchEvent& ev : txo.trace.branches()) {
-      out->touched_pcs.push_back(ev.pc);
-    }
   }
   served_txs_ += served;
   executed_txs_ += n - served;

@@ -47,6 +47,10 @@ struct TxOutcome {
   uint64_t gas_used = 0;
   TraceRecorder trace;
   std::vector<CmpRecord> cmps;
+  /// Identity of the memo record this outcome was served from, or that its
+  /// execution created; 0 when neither (see SessionBackend). Equal nonzero
+  /// ids mean equal trace, cmps and success. Ids are never reused.
+  uint64_t record_id = 0;
 
   /// One oversized sequence must not pin its peak buffers in the recycle
   /// pools forever; anything past this per-vector capacity is released.
@@ -59,6 +63,7 @@ struct TxOutcome {
     success = false;
     outcome = Outcome::kSuccess;
     gas_used = 0;
+    record_id = 0;
     trace.Clear();
     trace.ShrinkIfOversized(kMaxRetainedEvents);
     cmps.clear();
@@ -71,8 +76,6 @@ struct SequenceOutcome {
   std::vector<TxOutcome> txs;
   /// Instructions summed over all transactions.
   uint64_t instructions = 0;
-  /// Branch pcs executed, flattened across transactions (trace order).
-  std::vector<uint32_t> touched_pcs;
   /// Warm TxOutcome slots parked when a shorter sequence reuses this
   /// outcome; ResetForReuse pulls from here before allocating fresh slots,
   /// so varying sequence lengths don't defeat recycling.
@@ -95,7 +98,6 @@ struct SequenceOutcome {
     }
     for (TxOutcome& t : txs) t.ResetForReuse();
     instructions = 0;
-    touched_pcs.clear();
   }
 };
 
@@ -275,6 +277,10 @@ class ExecutionBackend {
 ///    setters, so the next restore undoes them like executed writes; the
 ///    host still sees OnSequenceStart and one OnTransactionStart per
 ///    transaction.
+///  - Each record has an id, (memo generation, heap offset), that the
+///    outcome which created it and every outcome served from it carry in
+///    TxOutcome::record_id, so consumers can skip work they already did
+///    for it.
 ///  - A transaction that reached the host (a CallEvent with `to_external`)
 ///    is never recorded: its outcome depends on the plan's host seed. The
 ///    transactions after it still are, since their keys carry the state

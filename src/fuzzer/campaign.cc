@@ -122,8 +122,8 @@ void Campaign::ApplyOutcome(const evm::SequenceOutcome& outcome,
   for (const evm::TxOutcome& txo : outcome.txs) {
     result_.transactions++;
     result_.instructions += txo.trace.instruction_count();
-    feedback_->ProcessTx(txo.tag, txo.trace, txo.cmps, txo.success, &result_,
-                         stats);
+    feedback_->ProcessTx(txo.tag, txo.trace, txo.cmps, txo.success,
+                         txo.record_id, &result_, stats);
   }
 
   // Coverage-over-time samples.

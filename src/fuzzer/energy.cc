@@ -6,12 +6,12 @@ namespace mufuzz::fuzzer {
 
 EnergyScheduler::EnergyScheduler(const lang::ContractArtifact* artifact,
                                  bool enabled)
-    : artifact_(artifact),
-      inference_(artifact->runtime_code),
-      enabled_(enabled) {
+    : artifact_(artifact), enabled_(enabled) {
+  if (!enabled_) return;
+  inference_.emplace(artifact->runtime_code);
   // Size the flat table for the contract up front; only foreign pcs (other
   // code executing under the same trace) grow it later.
-  if (enabled_) weights_.resize(artifact->runtime_code.size());
+  weights_.resize(artifact->runtime_code.size());
 }
 
 void EnergyScheduler::ObserveTrace(const evm::TraceRecorder& trace) {
@@ -43,8 +43,8 @@ void EnergyScheduler::ObserveTrace(const evm::TraceRecorder& trace) {
     info.weight = 1.0 + kNestedWeightStep * nested_score;
     // w2: prefix inference — is a vulnerable instruction reachable past
     // either direction of this branch (Algorithm 3 lines 11-15)?
-    if (inference_.GuardsVulnerableInstruction(ev.pc, true) ||
-        inference_.GuardsVulnerableInstruction(ev.pc, false)) {
+    if (inference_->GuardsVulnerableInstruction(ev.pc, true) ||
+        inference_->GuardsVulnerableInstruction(ev.pc, false)) {
       info.weight += kVulnerableWeight;
       info.guards_vulnerable = true;
     }

@@ -2,6 +2,7 @@
 #define MUFUZZ_FUZZER_ENERGY_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/prefix_inference.h"
@@ -20,7 +21,7 @@ namespace mufuzz::fuzzer {
 class EnergyScheduler {
  public:
   /// `artifact` supplies the branch map (nesting scores); its runtime code
-  /// feeds the prefix-inference CFG.
+  /// feeds the prefix-inference CFG, built only when `enabled`.
   EnergyScheduler(const lang::ContractArtifact* artifact, bool enabled);
 
   /// Algorithm 3 over one executed trace: weights every branch on the path.
@@ -64,7 +65,8 @@ class EnergyScheduler {
   }
 
   const lang::ContractArtifact* artifact_;
-  analysis::PrefixInference inference_;
+  /// Present iff enabled: only ObserveTrace's weighting reads it.
+  std::optional<analysis::PrefixInference> inference_;
   bool enabled_;
   std::vector<BranchInfo> weights_;
   size_t weighted_count_ = 0;

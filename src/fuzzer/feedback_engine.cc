@@ -26,7 +26,8 @@ FeedbackEngine::FeedbackEngine(const lang::ContractArtifact* artifact,
       constant_injection_(strategy.constant_injection),
       constants_(constants),
       energy_(artifact, strategy.dynamic_energy),
-      coverage_(artifact->total_jumpis, BranchMapPcs(*artifact)) {
+      coverage_(artifact->total_jumpis, BranchMapPcs(*artifact)),
+      processed_records_(size_t{1} << kProcessedRecordBits, 0) {
   for (const auto& entry : artifact->branch_map) {
     if (entry.jumpi_pc >= branch_by_pc_.size()) {
       branch_by_pc_.resize(entry.jumpi_pc + 1, nullptr);
@@ -39,8 +40,27 @@ void FeedbackEngine::BeginSequence() { best_flip_distance_ = UINT64_MAX; }
 
 void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
                                const std::vector<evm::CmpRecord>& cmps,
-                               bool tx_success, CampaignResult* result,
-                               ExecSignals* stats) {
+                               bool tx_success, uint64_t record_id,
+                               CampaignResult* result, ExecSignals* stats) {
+  uint64_t* processed = nullptr;
+  if (record_id != 0) {
+    processed = &processed_records_[(record_id * 0x9e3779b97f4a7c15ULL) >>
+                                    (64 - kProcessedRecordBits)];
+    if (*processed == record_id) {
+      // Already processed in full: replay only what varies per sequence.
+      ++repeat_txs_;
+      for (const evm::BranchEvent& ev : trace.branches()) {
+        stats->touched_pcs.push_back(ev.pc);
+        const lang::BranchMapEntry* entry = BranchAt(ev.pc);
+        if (entry != nullptr && entry->nesting_depth >= 1) {
+          stats->hits_nested = true;
+        }
+      }
+      if (!trace.overflows().empty()) stats->saw_overflow = true;
+      return;
+    }
+  }
+
   for (const evm::BranchEvent& ev : trace.branches()) {
     const size_t slot = coverage_.Slot(ev.pc);
     if (coverage_.AddBranchAt(slot, ev.taken)) ++stats->new_branches;
@@ -86,6 +106,7 @@ void FeedbackEngine::ProcessTx(int tx_index, const evm::TraceRecorder& trace,
       result->bug_classes.insert(result->bugs[i].bug);
     }
   }
+  if (processed != nullptr) *processed = record_id;
 }
 
 void FeedbackEngine::Finalize(const evm::WorldState& state,

@@ -59,10 +59,18 @@ class FeedbackEngine {
   /// bookkeeping, energy observation, constant harvesting, and — for
   /// transactions that actually went through — the bug oracles, appended to
   /// `result`.
+  ///
+  /// `record_id` is the outcome's TxOutcome::record_id (0 = none). When
+  /// this engine already processed that record in full, only the
+  /// per-sequence signals are applied (touched pcs, nesting, overflow):
+  /// every other effect is idempotent on an identical (trace, cmps,
+  /// success) — coverage bits and the constants dictionary only grow,
+  /// distances improve only when strictly smaller, energy skips weighted
+  /// pcs, and oracle reports are keyed by (bug, pc).
   virtual void ProcessTx(int tx_index, const evm::TraceRecorder& trace,
                          const std::vector<evm::CmpRecord>& cmps,
-                         bool tx_success, CampaignResult* result,
-                         ExecSignals* stats);
+                         bool tx_success, uint64_t record_id,
+                         CampaignResult* result, ExecSignals* stats);
 
   /// Contract-lifetime wrap-up: the ether-freezing oracle, report
   /// deduplication, the final coverage figures, and the seed-queue
@@ -87,6 +95,10 @@ class FeedbackEngine {
   CoverageMap& coverage() { return coverage_; }
   const CoverageMap& coverage() const { return coverage_; }
   EnergyScheduler& energy() { return energy_; }
+  const EnergyScheduler& energy() const { return energy_; }
+
+  /// Transactions that took the processed-record fast path.
+  uint64_t repeat_txs() const { return repeat_txs_; }
 
  private:
   /// Flat pc → branch-map entry lookup (nullptr = compiler-introduced or
@@ -108,6 +120,12 @@ class FeedbackEngine {
   /// (first occurrence per key survives either way) but keeps repeat
   /// findings from allocating report strings on the steady-state path.
   BugKeySet seen_bug_keys_;
+  /// Record ids this engine processed in full, direct-mapped by id hash
+  /// (2 KB). A collision or an overwrite only sends a repeat down the full
+  /// path again.
+  static constexpr int kProcessedRecordBits = 8;
+  std::vector<uint64_t> processed_records_;
+  uint64_t repeat_txs_ = 0;
 };
 
 }  // namespace mufuzz::fuzzer

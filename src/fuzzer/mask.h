@@ -81,6 +81,7 @@ class ByteMutator {
   /// Adds a 32-byte constant to the interesting pool (deduplicated, capped).
   void AddInterestingConstant(const U256& value);
   size_t interesting_count() const { return interesting_.size(); }
+  const std::vector<U256>& interesting() const { return interesting_; }
 
   /// Applies m = (op, n) at `pos` per §IV-B's operator definitions. Stream
   /// length is ABI-fixed, so I shifts right (dropping the tail) and D shifts

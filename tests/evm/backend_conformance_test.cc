@@ -42,9 +42,15 @@ std::unique_ptr<ExecutionBackend> MakeBackend(const BackendCase& c) {
 
 /// Everything observable about an outcome, flattened for EXPECT_EQ diffs.
 std::string Fingerprint(const SequenceOutcome& outcome) {
+  std::vector<uint32_t> touched_pcs;
+  for (const TxOutcome& txo : outcome.txs) {
+    for (const BranchEvent& ev : txo.trace.branches()) {
+      touched_pcs.push_back(ev.pc);
+    }
+  }
   std::string fp = "instr=" + std::to_string(outcome.instructions) +
-                   " pcs=" + std::to_string(outcome.touched_pcs.size());
-  for (uint32_t pc : outcome.touched_pcs) fp += "," + std::to_string(pc);
+                   " pcs=" + std::to_string(touched_pcs.size());
+  for (uint32_t pc : touched_pcs) fp += "," + std::to_string(pc);
   for (const TxOutcome& txo : outcome.txs) {
     fp += " | tag=" + std::to_string(txo.tag) +
           " ok=" + std::to_string(txo.success) +

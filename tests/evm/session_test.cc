@@ -210,7 +210,13 @@ TEST_F(SessionBackendTest, ExecuteRecordsATrace) {
   EXPECT_GT(outcome.txs[0].trace.instruction_count(), 0u);
   EXPECT_FALSE(outcome.txs[0].trace.branches().empty());
   EXPECT_EQ(outcome.instructions, outcome.txs[0].trace.instruction_count());
-  EXPECT_EQ(outcome.touched_pcs.size(), outcome.txs[0].trace.branches().size());
+  // The touched pcs, derived from the trace: each is one of the
+  // contract's JUMPIs, listed in its branch map.
+  for (const BranchEvent& ev : outcome.txs[0].trace.branches()) {
+    ASSERT_LT(ev.pc, artifact_.runtime_code.size());
+    EXPECT_EQ(artifact_.runtime_code[ev.pc], 0x57) << "pc " << ev.pc;
+    EXPECT_NE(artifact_.FindBranch(ev.pc), nullptr) << "pc " << ev.pc;
+  }
 }
 
 TEST_F(SessionBackendTest, BindResetsAllSessionState) {

@@ -239,7 +239,9 @@ TEST(SeedSchedulerTest, EvictionBetweenRoundsNeverAliasesParents) {
   for (SeedId id : round2) {
     ASSERT_NE(scheduler.Get(id), nullptr);
     for (SeedId old : round1) {
-      if (scheduler.Get(old) == nullptr) EXPECT_NE(id, old);
+      if (scheduler.Get(old) == nullptr) {
+        EXPECT_NE(id, old);
+      }
     }
   }
 }
