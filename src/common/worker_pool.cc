@@ -1,8 +1,6 @@
 #include "common/worker_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <utility>
 
 namespace mufuzz {
@@ -44,45 +42,6 @@ void WorkerPool::ThreadMain() {
     }
     task();
   }
-}
-
-void WorkerPool::ParallelEach(size_t count,
-                              const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  // The caller drains too and counts toward the pool's width, so total
-  // concurrency is min(size(), count) — a 1-thread pool runs strictly
-  // serially (on the caller, no handoff) and an N-thread pool never
-  // oversubscribes to N+1 bodies.
-  size_t helpers = std::min(threads_.size() - 1, count - 1);
-  if (helpers == 0) {
-    for (size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  // The barrier is shared-owned: the caller may be released from its wait
-  // (and return, ending the locals' lifetime) while a helper is still
-  // *exiting* arrive_and_wait, so the barrier must outlive every
-  // participant — each task keeps it alive through its own reference.
-  auto sync =
-      std::make_shared<std::barrier<>>(static_cast<std::ptrdiff_t>(helpers + 1));
-  auto drain = [&next, &fn, count] {
-    for (;;) {
-      size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      fn(i);
-    }
-  };
-  for (size_t h = 0; h < helpers; ++h) {
-    // &drain is safe: helpers finish draining before they arrive, and the
-    // caller cannot pass its own arrival until they have — so the
-    // by-reference locals are never touched after the caller returns.
-    Post([&drain, sync] {
-      drain();
-      sync->arrive_and_wait();
-    });
-  }
-  drain();
-  sync->arrive_and_wait();
 }
 
 }  // namespace mufuzz

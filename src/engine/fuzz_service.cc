@@ -55,20 +55,27 @@ FuzzService::FuzzService(ServiceOptions options) : options_(options) {
     hub_ = std::make_unique<evm::AsyncExecutionHub>(
         hub_options, options_.reuse_sessions ? &session_pool_ : nullptr);
   }
-  pool_ = std::make_unique<WorkerPool>(workers_);
-  coordinator_ = std::thread([this] { CoordinatorMain(); });
+  threads_.reserve(static_cast<size_t>(workers_));
+  for (int i = 0; i < workers_; ++i) {
+    threads_.emplace_back([this] { WorkerMain(); });
+  }
 }
 
 FuzzService::~FuzzService() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
-    for (auto& [ticket, record] : live_jobs_) {
-      record->cancel_requested = true;
+    paused_ = false;
+    // A cancel can complete its job inline (erasing its live_jobs_ node):
+    // advance first.
+    for (auto it = live_jobs_.begin(); it != live_jobs_.end();) {
+      JobRecord* r = it->second;
+      ++it;
+      RequestCancelLocked(r);
     }
   }
   work_cv_.notify_all();
-  if (coordinator_.joinable()) coordinator_.join();
+  for (std::thread& t : threads_) t.join();
   // Members are destroyed in reverse declaration order: job records (and
   // their hub-bound adapters) before hub_, which the hub's destructor
   // requires.
@@ -94,10 +101,6 @@ Status FuzzService::ValidateSubmission(const FuzzJob& job) const {
   if (options_.fanout < 0) {
     return Status::InvalidArgument(
         "ServiceOptions::fanout must be >= 0 (0 = no override)");
-  }
-  if (options_.step_slots < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::step_slots must be >= 0 (0 = no fair-share gate)");
   }
   if (options_.metrics_log_interval_ms < 0) {
     return Status::InvalidArgument(
@@ -172,33 +175,92 @@ std::string ResolveTenant(const std::string& tenant) {
 
 }  // namespace
 
-Status FuzzService::AdmitLocked(const std::string& tenant, size_t incoming) {
-  TenantRecord& record = tenants_[tenant];
-  submitted_total_ += incoming;
-  record.submitted += incoming;
+Status FuzzService::AdmitLocked(
+    const std::map<std::string, size_t>& per_tenant) {
+  // Every job counts as one attempt, and a bound violation rejects (and
+  // counts) all of them.
+  size_t total = 0;
+  for (const auto& [tenant, count] : per_tenant) {
+    tenants_[tenant].submitted += count;
+    total += count;
+  }
+  submitted_total_ += total;
+  auto reject_all = [&](uint64_t* counter, Status status) {
+    *counter += total;
+    for (const auto& [tenant, count] : per_tenant) {
+      tenants_[tenant].rejected += count;
+    }
+    return status;
+  };
+  const std::string more = " for " + std::to_string(total) + " more job(s)";
   if (options_.max_live_jobs > 0 &&
-      live_jobs_.size() + incoming > options_.max_live_jobs) {
-    rejected_global_ += incoming;
-    record.rejected += incoming;
-    return Status::ResourceExhausted(
-        "global admission queue full (" + std::to_string(live_jobs_.size()) +
-        " live jobs, bound " + std::to_string(options_.max_live_jobs) +
-        "); retry after jobs drain");
+      live_jobs_.size() + total > options_.max_live_jobs) {
+    return reject_all(
+        &rejected_global_,
+        Status::ResourceExhausted(
+            "global admission queue full (" +
+            std::to_string(live_jobs_.size()) + " live jobs, bound " +
+            std::to_string(options_.max_live_jobs) + ")" + more +
+            "; retry after jobs drain"));
   }
-  if (options_.max_live_jobs_per_tenant > 0 &&
-      record.live + incoming > options_.max_live_jobs_per_tenant) {
-    rejected_tenant_ += incoming;
-    record.rejected += incoming;
-    return Status::ResourceExhausted(
-        "tenant \"" + tenant + "\" admission queue full (" +
-        std::to_string(record.live) + " live jobs, bound " +
-        std::to_string(options_.max_live_jobs_per_tenant) +
-        "); retry after this tenant's jobs drain");
+  for (const auto& [tenant, count] : per_tenant) {
+    const size_t live = tenants_[tenant].live;
+    if (options_.max_live_jobs_per_tenant > 0 &&
+        live + count > options_.max_live_jobs_per_tenant) {
+      return reject_all(
+          &rejected_tenant_,
+          Status::ResourceExhausted(
+              "tenant \"" + tenant + "\" admission queue full (" +
+              std::to_string(live) + " live jobs, bound " +
+              std::to_string(options_.max_live_jobs_per_tenant) + ")" +
+              more + "; retry after this tenant's jobs drain"));
+    }
   }
-  admitted_total_ += incoming;
-  record.admitted += incoming;
-  record.live += incoming;
+  admitted_total_ += total;
+  for (const auto& [tenant, count] : per_tenant) {
+    tenants_[tenant].admitted += count;
+    GoLiveLocked(&tenants_[tenant], count);
+  }
   return Status::OK();
+}
+
+void FuzzService::GoLiveLocked(TenantRecord* tenant, size_t incoming) {
+  if (tenant->live == 0) {
+    // A tenant returning from idle must not bank the share it did not use:
+    // it starts level with the least-served tenant that is live now.
+    if (!live_tenants_.empty()) {
+      uint64_t least = live_tenants_.front()->share_key;
+      for (const TenantRecord* other : live_tenants_) {
+        least = std::min(least, other->share_key);
+      }
+      tenant->share_key = least;
+    }
+    live_tenants_.push_back(tenant);
+  }
+  tenant->live += incoming;
+}
+
+FuzzService::JobRecord* FuzzService::AddRecordLocked(FuzzJob job,
+                                                     std::string tenant,
+                                                     GroupRecord* group) {
+  const JobTicket ticket = next_ticket_++;
+  auto record = std::make_unique<JobRecord>();
+  JobRecord* r = record.get();
+  r->ticket = ticket;
+  r->job = std::move(job);
+  r->config = EffectiveConfig(r->job);
+  r->outcome.name = r->job.name;
+  r->progress.state = JobState::kQueued;
+  r->progress.fanout = std::max(1, r->config.fanout);
+  r->tenant_record = &tenants_[tenant];
+  r->tenant = std::move(tenant);
+  r->admitted_at = Clock::now();
+  r->group = group;
+  if (r->job.deadline_ms > 0) ++deadline_jobs_;
+  live_jobs_.emplace(ticket, r);
+  jobs_.emplace(ticket, std::move(record));
+  MakeReadyLocked(r);
+  return r;
 }
 
 Result<JobTicket> FuzzService::Submit(FuzzJob job) {
@@ -207,22 +269,11 @@ Result<JobTicket> FuzzService::Submit(FuzzJob job) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return Status::Internal("FuzzService is shutting down");
   std::string tenant = ResolveTenant(job.tenant);
-  Status admitted = AdmitLocked(tenant, 1);
+  Status admitted = AdmitLocked({{tenant, 1}});
   if (!admitted.ok()) return admitted;
-  JobTicket ticket = next_ticket_++;
-  auto record = std::make_unique<JobRecord>();
-  record->ticket = ticket;
-  record->job = std::move(job);
-  record->config = EffectiveConfig(record->job);
-  record->outcome.name = record->job.name;
-  record->progress.state = JobState::kQueued;
-  record->progress.fanout = std::max(1, record->config.fanout);
-  record->tenant = std::move(tenant);
-  record->admitted_at = Clock::now();
-  live_jobs_.emplace(ticket, record.get());
-  jobs_.emplace(ticket, std::move(record));
-  work_cv_.notify_all();
-  return ticket;
+  JobRecord* r = AddRecordLocked(std::move(job), std::move(tenant), nullptr);
+  if (idle_workers_ > 0) work_cv_.notify_one();
+  return r->ticket;
 }
 
 Result<GroupTicket> FuzzService::SubmitIslandGroup(std::vector<FuzzJob> jobs) {
@@ -242,68 +293,23 @@ Result<GroupTicket> FuzzService::SubmitIslandGroup(std::vector<FuzzJob> jobs) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return Status::Internal("FuzzService is shutting down");
 
-  // All-or-nothing admission: every member counts as one attempt, and a
-  // bound violation rejects (and counts) the whole group.
+  // All-or-nothing admission.
   std::map<std::string, size_t> per_tenant;
   for (const FuzzJob& job : jobs) ++per_tenant[ResolveTenant(job.tenant)];
-  const size_t total = jobs.size();
-  submitted_total_ += total;
-  for (const auto& [tenant, count] : per_tenant) {
-    tenants_[tenant].submitted += count;
-  }
-  auto reject_all = [&](bool global) {
-    (global ? rejected_global_ : rejected_tenant_) += total;
-    for (const auto& [tenant, count] : per_tenant) {
-      tenants_[tenant].rejected += count;
-    }
-  };
-  if (options_.max_live_jobs > 0 &&
-      live_jobs_.size() + total > options_.max_live_jobs) {
-    reject_all(/*global=*/true);
-    return Status::ResourceExhausted(
-        "global admission queue cannot take an island group of " +
-        std::to_string(total) + " (" + std::to_string(live_jobs_.size()) +
-        " live jobs, bound " + std::to_string(options_.max_live_jobs) + ")");
-  }
-  if (options_.max_live_jobs_per_tenant > 0) {
-    for (const auto& [tenant, count] : per_tenant) {
-      if (tenants_[tenant].live + count > options_.max_live_jobs_per_tenant) {
-        reject_all(/*global=*/false);
-        return Status::ResourceExhausted(
-            "tenant \"" + tenant + "\" admission queue cannot take " +
-            std::to_string(count) + " island members (" +
-            std::to_string(tenants_[tenant].live) + " live jobs, bound " +
-            std::to_string(options_.max_live_jobs_per_tenant) + ")");
-      }
-    }
-  }
-  admitted_total_ += total;
-  for (const auto& [tenant, count] : per_tenant) {
-    tenants_[tenant].admitted += count;
-    tenants_[tenant].live += count;
-  }
+  Status admitted = AdmitLocked(per_tenant);
+  if (!admitted.ok()) return admitted;
 
   auto group = std::make_unique<GroupRecord>();
+  group->open_members = static_cast<int>(jobs.size());
+  group->pending = static_cast<int>(jobs.size());  // every member compiles
   GroupTicket group_ticket;
   for (FuzzJob& job : jobs) {
-    JobTicket ticket = next_ticket_++;
-    auto record = std::make_unique<JobRecord>();
-    record->ticket = ticket;
-    record->job = std::move(job);
-    record->config = EffectiveConfig(record->job);
-    record->outcome.name = record->job.name;
-    record->progress.state = JobState::kQueued;
-    record->progress.fanout = std::max(1, record->config.fanout);
-    record->tenant = ResolveTenant(record->job.tenant);
-    record->admitted_at = Clock::now();
-    record->group = group.get();
-    group->members.push_back(record.get());
-    group_ticket.members.push_back(ticket);
-    live_jobs_.emplace(ticket, record.get());
-    jobs_.emplace(ticket, std::move(record));
+    std::string tenant = ResolveTenant(job.tenant);
+    JobRecord* r =
+        AddRecordLocked(std::move(job), std::move(tenant), group.get());
+    group->members.push_back(r);
+    group_ticket.members.push_back(r->ticket);
   }
-  group->open_members = static_cast<int>(group->members.size());
-  live_groups_.push_back(group.get());
   groups_.push_back(std::move(group));
   work_cv_.notify_all();
   return group_ticket;
@@ -359,9 +365,9 @@ std::vector<JobOutcome> FuzzService::WaitAll() {
 void FuzzService::Cancel(JobTicket ticket) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(ticket);
-  if (it == jobs_.end() || it->second->stage == Stage::kDone) return;
-  it->second->cancel_requested = true;
-  work_cv_.notify_all();
+  if (it == jobs_.end()) return;
+  RequestCancelLocked(it->second.get());
+  if (ready_units_ > 0 && idle_workers_ > 0) work_cv_.notify_one();
 }
 
 void FuzzService::CancelGroup(const GroupTicket& group) {
@@ -370,7 +376,11 @@ void FuzzService::CancelGroup(const GroupTicket& group) {
 
 void FuzzService::CancelAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [ticket, record] : live_jobs_) record->cancel_requested = true;
+  for (auto it = live_jobs_.begin(); it != live_jobs_.end();) {
+    JobRecord* r = it->second;
+    ++it;  // a cancel can complete its job inline
+    RequestCancelLocked(r);
+  }
   work_cv_.notify_all();
 }
 
@@ -394,7 +404,7 @@ ServiceStats FuzzService::StatsLocked() const {
   stats.completed = completed_total_;
   stats.cancelled = cancelled_total_;
   stats.deadline_hits = deadline_hits_;
-  stats.rounds = rounds_done_;
+  stats.rounds = slices_;
   stats.live_jobs = live_jobs_.size();
   stats.executions = TotalExecutionsLocked();
   if (rate_samples_.size() >= 2) {
@@ -447,284 +457,293 @@ ServiceStats FuzzService::StatsLocked() const {
   return stats;
 }
 
-uint64_t FuzzService::TotalExecutionsLocked() const {
-  uint64_t total = completed_executions_;
-  for (const auto& [ticket, record] : live_jobs_) {
-    total += record->progress.executions;
-  }
-  return total;
-}
+// ---------------------------------------------------------------- Workers --
 
-// ------------------------------------------------------------ Coordinator --
-
-bool FuzzService::AllDoneLocked() const { return live_jobs_.empty(); }
-
-void FuzzService::CoordinatorMain() {
+void FuzzService::WorkerMain() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    RoundPlan plan;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stop_ || (!paused_ && !AllDoneLocked());
-      });
-      if (stop_ && AllDoneLocked()) return;
-      PlanRoundLocked(&plan);
+    JobRecord* r = nullptr;
+    while ((r = PickLocked()) == nullptr) {
+      if (stop_ && live_jobs_.empty()) return;
+      ++idle_workers_;
+      work_cv_.wait(lock);
+      --idle_workers_;
     }
-    if (!plan.tasks.empty()) {
-      pool_->ParallelEach(plan.tasks.size(),
-                          [&](size_t i) { plan.tasks[i](); });
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SettleRoundLocked(plan);
-    }
+    if (ready_units_ > 0 && idle_workers_ > 0) work_cv_.notify_one();
+    lock.unlock();
+    RunUnit(r);
+    lock.lock();
+    SettleLocked(r);
   }
 }
 
-void FuzzService::PlanRoundLocked(RoundPlan* plan) {
-  const uint64_t quantum = static_cast<uint64_t>(options_.round_quantum);
-  const uint64_t interval =
-      static_cast<uint64_t>(std::max(1, options_.exchange_interval));
-  const auto now = Clock::now();
-  // Standalone jobs ready to step this round; the fair-share gate below
-  // decides which of them actually get a slot.
-  std::vector<JobRecord*> step_candidates;
-
-  // Iterate with an explicit iterator: a cancel-before-start completes the
-  // job inline, which erases its live_jobs_ node — advance first.
-  for (auto it = live_jobs_.begin(); it != live_jobs_.end();) {
-    JobRecord* r = it->second;
-    ++it;
-    CheckDeadlineLocked(r, now);
-    switch (r->stage) {
-      case Stage::kAdmitted:
-        if (r->cancel_requested) {
-          CancelBeforeStartLocked(r);
-          break;
-        }
-        if (r->group == nullptr) {
-          plan->setups.push_back(r);
-          plan->tasks.push_back([this, r] { SetupStandalone(r); });
-        } else {
-          plan->compiles.push_back(r);
-          plan->tasks.push_back([this, r] { CompileIslandMember(r); });
-        }
-        break;
-      case Stage::kCompiled:
-        // Waiting for every group member to compile; the settle phase
-        // builds the sharder and promotes the whole group together. A
-        // cancel here lands before any campaign ran: the member drops out
-        // of the group exactly like a compile failure.
-        if (r->cancel_requested) CancelBeforeStartLocked(r);
-        break;
-      case Stage::kConstruct:
-        if (r->cancel_requested) {
-          // Island id and queue are already assigned, but no campaign ever
-          // ran — the member's (empty) queue simply stays in the
-          // archipelago, exporting nothing.
-          CancelBeforeStartLocked(r);
-          break;
-        }
-        plan->setups.push_back(r);
-        plan->tasks.push_back([this, r] { ConstructIslandMember(r); });
-        break;
-      case Stage::kActive:
-        if (r->group == nullptr) {
-          if (r->cancel_requested || r->campaign->StreamDone()) {
-            r->finalize_cancelled =
-                r->cancel_requested && !r->campaign->StreamDone();
-            r->stage = Stage::kFinalizing;
-            plan->finals.push_back(r);
-            plan->tasks.push_back([this, r] { FinalizeJob(r); });
-          } else {
-            step_candidates.push_back(r);
-          }
-        } else {
-          if (r->cancel_requested && !r->campaign->Done()) {
-            r->finalize_cancelled = true;
-            r->stage = Stage::kFinalizing;
-            plan->finals.push_back(r);
-            plan->tasks.push_back([this, r] { FinalizeJob(r); });
-          } else if (!r->campaign->Done()) {
-            // Island rounds are barrier-coupled across the archipelago, so
-            // they are never gated — but their work still charges the
-            // tenant's fair-share deficit.
-            r->group->stepped_this_round = true;
-            tenants_[r->tenant].stepped_quanta += interval;
-            if (r->progress.first_step_round < 0) {
-              r->progress.first_step_round =
-                  static_cast<int64_t>(rounds_done_);
-            }
-            plan->steps.push_back(r);
-            plan->tasks.push_back([r, interval] {
-              auto start = Clock::now();
-              r->campaign->StepRound(interval);
-              r->active_ms += MsBetween(start, Clock::now());
-            });
-          }
-          // A member that exhausted its budget keeps exporting/importing in
-          // migration rounds and finalizes when the whole group is done.
-        }
-        break;
-      case Stage::kFinalizing:
-        // Set by group completion last settle; schedule the finalize now.
-        plan->finals.push_back(r);
-        plan->tasks.push_back([this, r] { FinalizeJob(r); });
-        break;
-      case Stage::kDone:
-        break;
+FuzzService::JobRecord* FuzzService::PickLocked() {
+  if (paused_) return nullptr;
+  if (deadline_jobs_ > 0) {
+    const auto now = Clock::now();
+    if (now - last_deadline_sweep_ >= std::chrono::milliseconds(1)) {
+      last_deadline_sweep_ = now;
+      SweepDeadlinesLocked(now);
     }
   }
-
-  // Deficit fair-share over the standalone candidates: repeatedly pick the
-  // job whose tenant has the least stepped work so far (ties: higher job
-  // priority, then lower ticket), charging the tenant one quantum per pick
-  // so the next pick sees the updated deficit. With no step_slots gate
-  // every candidate is picked — in the same deterministic order — and the
-  // charge keeps the tenants' deficit counters honest either way.
-  const size_t slots =
-      options_.step_slots > 0 ? static_cast<size_t>(options_.step_slots)
-                              : step_candidates.size();
-  size_t picked = 0;
-  while (picked < slots && !step_candidates.empty()) {
-    size_t best = 0;
-    for (size_t i = 1; i < step_candidates.size(); ++i) {
-      const JobRecord* a = step_candidates[i];
-      const JobRecord* b = step_candidates[best];
-      const uint64_t wa = tenants_[a->tenant].stepped_quanta;
-      const uint64_t wb = tenants_[b->tenant].stepped_quanta;
-      if (wa != wb ? wa < wb
-                   : (a->job.priority != b->job.priority
-                          ? a->job.priority > b->job.priority
-                          : a->ticket < b->ticket)) {
-        best = i;
+  JobRecord* r = nullptr;
+  if (!finals_.empty()) {
+    r = finals_.front();
+    finals_.pop_front();
+  } else {
+    TenantRecord* best = nullptr;
+    for (TenantRecord* t : live_tenants_) {
+      if (t->ready.empty()) continue;
+      if (best == nullptr || t->share_key < best->share_key ||
+          (t->share_key == best->share_key &&
+           ReadyOrder()(*t->ready.begin(), *best->ready.begin()))) {
+        best = t;
       }
     }
-    JobRecord* r = step_candidates[best];
-    step_candidates.erase(step_candidates.begin() +
-                          static_cast<long>(best));
-    tenants_[r->tenant].stepped_quanta += quantum;
-    if (r->progress.first_step_round < 0) {
-      r->progress.first_step_round = static_cast<int64_t>(rounds_done_);
+    if (best == nullptr) return nullptr;
+    r = *best->ready.begin();
+    best->ready.erase(best->ready.begin());
+    if (r->stage == Stage::kActive) {  // a step slice: charge the tenant
+      const uint64_t charge = static_cast<uint64_t>(
+          r->group != nullptr ? options_.exchange_interval
+                              : options_.round_quantum);
+      best->share_key += charge;
+      best->stepped_quanta += charge;
+      if (r->group != nullptr) r->group->stepped = true;
+      if (r->progress.first_step_round < 0) {
+        r->progress.first_step_round = static_cast<int64_t>(slices_);
+      }
     }
-    plan->steps.push_back(r);
-    plan->tasks.push_back([r, quantum] {
-      auto start = Clock::now();
-      r->campaign->StepStream(quantum);
-      r->active_ms += MsBetween(start, Clock::now());
-    });
-    ++picked;
   }
+  --ready_units_;
+  r->running = true;
+  return r;
 }
 
-void FuzzService::SettleRoundLocked(const RoundPlan& plan) {
-  // Island compiles: survivors wait for their group, failures finish here.
-  for (JobRecord* r : plan.compiles) {
-    if (r->artifact != nullptr) {
-      r->stage = Stage::kCompiled;
-    } else {
+void FuzzService::RunUnit(JobRecord* r) {
+  // A running job's stage changes only when its unit settles, so it names
+  // the unit without the lock.
+  const auto start = Clock::now();
+  switch (r->stage) {
+    case Stage::kAdmitted:
+      ResolveArtifact(r);
+      if (r->artifact != nullptr && r->group == nullptr) StartCampaign(r);
+      break;
+    case Stage::kConstruct:
+      StartCampaign(r);
+      break;
+    case Stage::kActive:
+      if (r->group == nullptr) {
+        r->campaign->StepStream(
+            static_cast<uint64_t>(options_.round_quantum));
+      } else {
+        r->campaign->StepRound(
+            static_cast<uint64_t>(options_.exchange_interval));
+      }
+      break;
+    case Stage::kFinalizing:
+      FinalizeJob(r);
+      break;
+    case Stage::kCompiled:
+    case Stage::kDone:
+      break;
+  }
+  r->active_ms += MsBetween(start, Clock::now());
+}
+
+void FuzzService::SettleLocked(JobRecord* r) {
+  r->running = false;
+  GroupRecord* group = r->group;
+  switch (r->stage) {
+    case Stage::kAdmitted:
+      if (group != nullptr) {
+        // Island compile: survivors wait for the whole group; failures
+        // finish here, and a member cancelled meanwhile drops out like a
+        // compile failure.
+        if (r->artifact == nullptr) {
+          MarkDoneLocked(r);
+        } else if (r->cancel_requested) {
+          CancelBeforeStartLocked(r);
+        } else {
+          r->stage = Stage::kCompiled;
+        }
+        PhaseUnitDoneLocked(group);
+      } else if (r->campaign == nullptr) {
+        MarkDoneLocked(r);  // compile failed
+      } else {
+        r->stage = Stage::kActive;
+        SnapshotProgressLocked(r);
+        ContinueStandaloneLocked(r);
+      }
+      break;
+    case Stage::kConstruct:
+      r->stage = Stage::kActive;
+      SnapshotProgressLocked(r);
+      PhaseUnitDoneLocked(group);
+      break;
+    case Stage::kActive:
+      ++slices_;
+      if (group == nullptr) ++r->rounds;
+      SnapshotProgressLocked(r);
+      if (group == nullptr) {
+        ContinueStandaloneLocked(r);
+      } else {
+        PhaseUnitDoneLocked(group);
+      }
+      break;
+    case Stage::kFinalizing: {
+      // A member finalized by a cancel while its group still runs owed
+      // that unit to the group's current phase.
+      const bool owed = group != nullptr && !group->finished;
       MarkDoneLocked(r);
+      if (owed) PhaseUnitDoneLocked(group);
+      break;
     }
+    case Stage::kCompiled:
+    case Stage::kDone:
+      break;
   }
+  SampleLocked(Clock::now());
+}
 
-  // Standalone setups and island constructs.
-  for (JobRecord* r : plan.setups) {
-    if (r->campaign == nullptr) {
-      MarkDoneLocked(r);  // compile failed (standalone path)
-      continue;
-    }
-    r->stage = Stage::kActive;
-    SnapshotProgressLocked(r);
+void FuzzService::MakeReadyLocked(JobRecord* r) {
+  r->tenant_record->ready.insert(r);
+  ++ready_units_;
+}
+
+void FuzzService::QueueFinalizeLocked(JobRecord* r, bool cancelled) {
+  r->finalize_cancelled = cancelled;
+  r->stage = Stage::kFinalizing;
+  finals_.push_back(r);
+  ++ready_units_;
+}
+
+void FuzzService::ContinueStandaloneLocked(JobRecord* r) {
+  const bool done = r->campaign->StreamDone();
+  if (r->cancel_requested || done) {
+    QueueFinalizeLocked(r, r->cancel_requested && !done);
+  } else {
+    MakeReadyLocked(r);
   }
+}
 
-  // Step slices: count rounds and refresh the between-rounds snapshots.
-  for (JobRecord* r : plan.steps) {
-    if (r->group == nullptr) ++r->rounds;
-    SnapshotProgressLocked(r);
-  }
+void FuzzService::PhaseUnitDoneLocked(GroupRecord* group) {
+  if (--group->pending == 0) AdvanceGroupLocked(group);
+}
 
-  // Finalized jobs — processed before the group sweep so a group whose
-  // last member finalized this round retires (and frees its queues) now.
-  for (JobRecord* r : plan.finals) MarkDoneLocked(r);
-
-  // Groups: build sharders once every member compiled, run one serial
-  // migration per group that stepped, detect completion, retire drained
-  // groups (freeing their seed queues) from the live list.
-  for (size_t g = 0; g < live_groups_.size();) {
-    GroupRecord* group = live_groups_[g];
-    if (group->finished) {
-      if (group->open_members == 0) {
-        for (JobRecord* m : group->members) m->queue = nullptr;
-        group->sharder.reset();
-        live_groups_.erase(live_groups_.begin() + static_cast<long>(g));
-        continue;
-      }
-      ++g;
-      continue;
-    }
-    ++g;
-    if (!group->built) {
-      bool ready = true;
-      for (JobRecord* m : group->members) {
-        if (m->stage != Stage::kCompiled && m->stage != Stage::kDone) {
-          ready = false;
-          break;
-        }
-      }
-      if (ready) BuildSharderLocked(group);
-      continue;
-    }
-    if (group->stepped_this_round) {
-      group->sharder->RunMigrationRound(options_.migration_top_k);
-      ++group->migration_rounds;
-      group->stepped_this_round = false;
-      for (JobRecord* m : group->members) {
-        if (m->stage == Stage::kActive) {
-          m->progress.round_index = group->migration_rounds;
-        }
-      }
-    }
-    bool all_done = true;
+void FuzzService::AdvanceGroupLocked(GroupRecord* group) {
+  if (!group->built) {
+    // Compile phase over: survivors get island ids and construct next.
+    BuildSharderLocked(group);
     for (JobRecord* m : group->members) {
-      if (m->stage == Stage::kDone) continue;
-      if (m->stage == Stage::kActive && m->campaign->Done()) continue;
+      if (m->stage != Stage::kConstruct) continue;
+      ++group->pending;
+      MakeReadyLocked(m);
+    }
+    if (group->pending > 0) return;
+  }
+  // Construct or step phase over. Migration sees every member after the
+  // same number of step rounds — the archipelago's only coupling.
+  if (group->stepped) {
+    group->sharder->RunMigrationRound(options_.migration_top_k);
+    ++group->migration_rounds;
+    group->stepped = false;
+    for (JobRecord* m : group->members) {
+      if (m->stage == Stage::kActive) {
+        m->progress.round_index = group->migration_rounds;
+      }
+    }
+  }
+  bool all_done = true;
+  for (JobRecord* m : group->members) {
+    if (m->stage == Stage::kActive && !m->campaign->Done()) {
       all_done = false;
       break;
     }
-    if (all_done) {
-      group->finished = true;
-      for (JobRecord* m : group->members) {
-        if (m->stage == Stage::kActive) m->stage = Stage::kFinalizing;
-      }
+  }
+  if (all_done) {
+    // A member that exhausted its budget kept exporting and importing in
+    // migration rounds; every one finalizes together now.
+    group->finished = true;
+    for (JobRecord* m : group->members) {
+      if (m->stage == Stage::kActive) QueueFinalizeLocked(m, false);
+    }
+    if (group->open_members == 0) {
+      for (JobRecord* m : group->members) m->queue = nullptr;
+      group->sharder.reset();
+    }
+    return;
+  }
+  // Next step phase: every member with budget left steps once; a
+  // cancelled one finalizes instead, its queue staying in the
+  // archipelago.
+  for (JobRecord* m : group->members) {
+    if (m->stage != Stage::kActive || m->campaign->Done()) continue;
+    ++group->pending;
+    if (m->cancel_requested) {
+      QueueFinalizeLocked(m, true);
+    } else {
+      MakeReadyLocked(m);
     }
   }
-
-  ++rounds_done_;
-  SampleRoundLocked(Clock::now());
 }
 
-void FuzzService::CheckDeadlineLocked(JobRecord* r,
-                                      std::chrono::steady_clock::time_point
-                                          now) {
-  if (r->deadline_hit || r->cancel_requested || r->job.deadline_ms == 0 ||
-      r->stage == Stage::kDone) {
-    return;
-  }
-  if (now - r->admitted_at <
-      std::chrono::milliseconds(r->job.deadline_ms)) {
-    return;
-  }
-  r->deadline_hit = true;
+void FuzzService::RequestCancelLocked(JobRecord* r) {
+  if (r->stage == Stage::kDone || r->cancel_requested) return;
   r->cancel_requested = true;
-  r->progress.deadline_expired = true;
-  ++deadline_hits_;
-  ++tenants_[r->tenant].deadline_hits;
+  if (r->running) return;  // applied when its unit settles
+  switch (r->stage) {
+    case Stage::kAdmitted:
+    case Stage::kConstruct:
+      r->tenant_record->ready.erase(r);
+      --ready_units_;
+      CancelBeforeStartLocked(r);
+      if (r->group != nullptr) PhaseUnitDoneLocked(r->group);
+      break;
+    case Stage::kCompiled:
+      // No campaign ever ran; the member drops out of the group exactly
+      // like a compile failure.
+      CancelBeforeStartLocked(r);
+      break;
+    case Stage::kActive:
+      // Ready means a slice (or an island step the current phase owes) is
+      // pending: finalize instead. An island member waiting for its group
+      // is picked up when the next phase opens.
+      if (r->tenant_record->ready.erase(r) > 0) {
+        --ready_units_;
+        QueueFinalizeLocked(r, true);
+      }
+      break;
+    case Stage::kFinalizing:
+    case Stage::kDone:
+      break;
+  }
 }
 
-void FuzzService::SampleRoundLocked(
-    std::chrono::steady_clock::time_point now) {
-  rate_samples_.emplace_back(now, TotalExecutionsLocked());
-  while (rate_samples_.size() > 64) rate_samples_.pop_front();
+void FuzzService::SweepDeadlinesLocked(Clock::time_point now) {
+  for (auto it = live_jobs_.begin(); it != live_jobs_.end();) {
+    JobRecord* r = it->second;
+    ++it;  // a cancel can complete its job inline
+    if (r->deadline_hit || r->cancel_requested || r->job.deadline_ms == 0 ||
+        r->stage == Stage::kFinalizing ||
+        now - r->admitted_at < std::chrono::milliseconds(r->job.deadline_ms)) {
+      continue;
+    }
+    r->deadline_hit = true;
+    --deadline_jobs_;
+    r->progress.deadline_expired = true;
+    ++deadline_hits_;
+    ++r->tenant_record->deadline_hits;
+    RequestCancelLocked(r);
+  }
+}
+
+void FuzzService::SampleLocked(Clock::time_point now) {
+  if (rate_samples_.empty() ||
+      now - rate_samples_.back().first >= std::chrono::milliseconds(1)) {
+    rate_samples_.emplace_back(now, TotalExecutionsLocked());
+    while (rate_samples_.size() > 64) rate_samples_.pop_front();
+  }
 
   if (options_.metrics_log_interval_ms <= 0) return;
   if (now - last_metrics_log_ <
@@ -769,7 +788,7 @@ void FuzzService::BuildSharderLocked(GroupRecord* group) {
   for (JobRecord* m : survivors) m->stage = Stage::kConstruct;
 }
 
-// --------------------------------------------------- Task bodies (no lock) --
+// --------------------------------------------------- Unit bodies (no lock) --
 
 void FuzzService::ResolveArtifact(JobRecord* r) {
   if (r->job.artifact != nullptr) {
@@ -785,53 +804,26 @@ void FuzzService::ResolveArtifact(JobRecord* r) {
   }
 }
 
-void FuzzService::SetupStandalone(JobRecord* r) {
-  auto start = Clock::now();
-  ResolveArtifact(r);
-  if (r->artifact != nullptr) {
-    evm::ExecutionBackend* backend = nullptr;
-    if (hub_ != nullptr) {
-      r->adapter = std::make_unique<evm::AsyncBackendAdapter>(hub_.get());
-      backend = r->adapter.get();
-    } else if (options_.backend_workers > 0) {
-      // Private-adapter mode: the campaign owns its backend
-      // (config.async_workers was set by EffectiveConfig).
-    } else if (options_.reuse_sessions) {
-      r->session = session_pool_.Acquire();
-      backend = r->session.get();
-    }
-    r->campaign = std::make_unique<fuzzer::Campaign>(
-        r->artifact, r->config, backend, nullptr, -1);
-    r->campaign->SeedCorpus();
-  }
-  r->active_ms += MsBetween(start, Clock::now());
-}
-
-void FuzzService::CompileIslandMember(JobRecord* r) {
-  auto start = Clock::now();
-  ResolveArtifact(r);
-  r->active_ms += MsBetween(start, Clock::now());
-}
-
-void FuzzService::ConstructIslandMember(JobRecord* r) {
-  auto start = Clock::now();
+void FuzzService::StartCampaign(JobRecord* r) {
   evm::ExecutionBackend* backend = nullptr;
   if (hub_ != nullptr) {
     r->adapter = std::make_unique<evm::AsyncBackendAdapter>(hub_.get());
     backend = r->adapter.get();
+  } else if (r->group == nullptr && options_.backend_workers == 0 &&
+             options_.reuse_sessions) {
+    r->session = session_pool_.Acquire();
+    backend = r->session.get();
   }
-  // Non-hub modes: the campaign owns its backend — a private
-  // AsyncBackendAdapter (config.async_workers) or a SessionBackend. An
+  // Otherwise the campaign owns its backend: a private AsyncBackendAdapter
+  // (config.async_workers, set by EffectiveConfig) or a SessionBackend. An
   // island campaign's sessions must survive across rounds, so pooled
   // leasing would pin them anyway.
   r->campaign = std::make_unique<fuzzer::Campaign>(
       r->artifact, r->config, backend, r->queue, r->island_id);
   r->campaign->SeedCorpus();
-  r->active_ms += MsBetween(start, Clock::now());
 }
 
 void FuzzService::FinalizeJob(JobRecord* r) {
-  auto start = Clock::now();
   if (r->finalize_cancelled) {
     r->campaign->MarkCancelled();
     r->campaign->DrainStream();  // no-op on the stepped (island) path
@@ -842,13 +834,13 @@ void FuzzService::FinalizeJob(JobRecord* r) {
   r->campaign.reset();
   if (r->session != nullptr) session_pool_.Release(std::move(r->session));
   r->adapter.reset();
-  r->active_ms += MsBetween(start, Clock::now());
 }
 
 // ------------------------------------------------------------ Bookkeeping --
 
 void FuzzService::SnapshotProgressLocked(JobRecord* r) {
   fuzzer::Campaign::Progress p = r->campaign->SnapshotProgress();
+  live_executions_ += p.executions - r->progress.executions;
   r->progress.executions = p.executions;
   r->progress.transactions = p.transactions;
   r->progress.coverage = p.coverage;
@@ -868,10 +860,21 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
   r->stage = Stage::kDone;
   r->outcome.elapsed_ms = r->active_ms;
   live_jobs_.erase(r->ticket);
-  if (r->group != nullptr) --r->group->open_members;
+  live_executions_ -= r->progress.executions;
+  if (r->job.deadline_ms > 0 && !r->deadline_hit) --deadline_jobs_;
+  if (GroupRecord* group = r->group; group != nullptr) {
+    // The last member of a finished group frees the seed queues.
+    if (--group->open_members == 0 && group->finished) {
+      for (JobRecord* m : group->members) m->queue = nullptr;
+      group->sharder.reset();
+    }
+  }
 
-  TenantRecord& tenant = tenants_[r->tenant];
-  --tenant.live;
+  TenantRecord& tenant = *r->tenant_record;
+  if (--tenant.live == 0) {
+    live_tenants_.erase(
+        std::find(live_tenants_.begin(), live_tenants_.end(), &tenant));
+  }
   ++tenant.completed;
   ++completed_total_;
   const bool via_cancel =
@@ -904,6 +907,7 @@ void FuzzService::MarkDoneLocked(JobRecord* r) {
         r->group != nullptr ? r->group->migration_rounds : r->rounds;
   }
   done_cv_.notify_all();
+  if (stop_ && live_jobs_.empty()) work_cv_.notify_all();
 }
 
 void FuzzService::CancelBeforeStartLocked(JobRecord* r) {

@@ -6,17 +6,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "evm/async_backend.h"
 #include "evm/execution_backend.h"
 #include "fuzzer/campaign.h"
@@ -67,15 +66,15 @@ struct FuzzJob {
   // ------------------------------------------------------- Multi-tenancy --
   /// Accounting identity for admission control, fair-share scheduling, and
   /// the per-tenant metrics plane. Empty maps to "default". Tenancy is
-  /// scheduling-only: it decides *when* a job's rounds run and whether the
+  /// scheduling-only: it decides *when* a job's slices run and whether the
   /// job is admitted at all, never what its campaign computes.
   std::string tenant;
-  /// Fair-share tie-break among a tenant's own ready jobs (higher steps
-  /// first; ties fall back to ticket order). Does not buy a tenant more
-  /// aggregate share — that is the fair-share deficit's job.
+  /// Order among a tenant's own ready jobs (higher runs first; ties fall
+  /// back to ticket order). Does not buy a tenant more aggregate share —
+  /// that is the fair-share deficit's job.
   int priority = 0;
   /// Wall-clock budget in milliseconds, measured from admission. 0 = none.
-  /// Expiry rides the Cancel path: the job stops at its next round boundary
+  /// Expiry rides the Cancel path: the job stops at its next slice boundary
   /// with a partial-but-valid result flagged `cancelled` (or an empty
   /// result if the campaign never started), and the expiry is counted in
   /// ServiceStats::deadline_hits and flagged on the job's progress.
@@ -91,13 +90,12 @@ struct JobOutcome {
   std::string name;
   std::optional<fuzzer::CampaignResult> result;
   std::string error;  ///< compile diagnostics when `result` is empty
-  /// Per-job *active* time: the sum of the job's compile, seed-corpus,
-  /// step-round, and finalize slices on whichever workers ran them. Under
-  /// the interleaved FuzzService scheduler this is NOT wall-clock between
-  /// first and last touch — a job parks between rounds while other jobs'
-  /// rounds run, and that parked time is excluded. (The pre-service batch
-  /// runner ran each standalone job in one uninterrupted slice, where the
-  /// two notions coincided.)
+  /// Per-job *active* time: the sum of the job's setup, step-slice and
+  /// finalize units on whichever workers ran them. Time the job spent
+  /// queued, or ready while other jobs' slices held every worker, is
+  /// excluded, so this is NOT wall-clock between admission and completion.
+  /// A standalone job of a single tenant usually runs its units back to
+  /// back on one worker, where the two nearly coincide.
   double elapsed_ms = 0;
 };
 
@@ -116,12 +114,12 @@ enum class JobState {
   kUnknown,     ///< ticket was never issued by this service
   kQueued,      ///< admitted; compile/deploy has not finished yet
   kRunning,     ///< stepping (or finalizing) on the worker pool
-  kCancelling,  ///< cancel requested; stops at the next round boundary
+  kCancelling,  ///< cancel requested; stops at the next slice boundary
   kDone,        ///< outcome available; Wait() will not block
 };
 
-/// A progress snapshot for one job, taken between scheduler rounds (never
-/// mid-round — rounds are the service's consistency barriers). On a
+/// A progress snapshot for one job, taken between its slices (never
+/// mid-slice — a slice boundary is the job's consistency point). On a
 /// finished ticket, Poll keeps returning the final snapshot.
 struct JobProgress {
   JobState state = JobState::kUnknown;
@@ -131,28 +129,29 @@ struct JobProgress {
   double coverage = 0;
   /// Distinct (bug, pc) oracle findings so far.
   size_t bugs_found = 0;
-  /// Completed scheduler rounds: step rounds for a standalone job,
-  /// migration rounds for an island member.
+  /// Completed step slices for a standalone job, migration rounds for an
+  /// island member.
   int round_index = 0;
   /// Effective speculative fan-out (K) the job's campaign runs with —
   /// parents expanded per selection round (service override applied).
   int fanout = 1;
   /// Parents in the campaign's parked speculative set at snapshot time
-  /// (streamed standalone jobs park the whole set across rounds; 0 for
+  /// (streamed standalone jobs park the whole set across slices; 0 for
   /// island members, whose rounds drain, and once the job is done).
   int parents_in_flight = 0;
   /// Executions submitted to the backend but not yet applied at snapshot
   /// time — the speculative waves in flight, so progress keeps moving on
-  /// large waves instead of stalling at round boundaries. 0 once done.
+  /// large waves instead of stalling at slice boundaries. 0 once done.
   uint64_t inflight_executions = 0;
   /// Set once the job finished via the cancel path.
   bool cancelled = false;
   /// Set when the job's `deadline_ms` expired (the cancellation — counted
   /// in ServiceStats::deadline_hits — was deadline-initiated).
   bool deadline_expired = false;
-  /// Service round counter value when the job's campaign first stepped
-  /// (-1 until then). Deterministic given submission order and service
-  /// options — what the fair-share ordering tests pin.
+  /// ServiceStats::rounds (settled step slices, all jobs) when the job's
+  /// first slice was picked (-1 until then). With one worker it is
+  /// deterministic given submission order and service options — what the
+  /// fair-share and scheduling tests pin.
   int64_t first_step_round = -1;
   /// Code-cache counters of the job's backend at snapshot time (process-wide
   /// cache by default — diagnostics, not part of any reproducibility key).
@@ -175,7 +174,8 @@ struct JobProgress {
 /// `round_quantum`, `backend_workers`, `share_backend`, `reuse_sessions`)
 /// never influence results.
 struct ServiceOptions {
-  /// Worker threads for campaign rounds; <= 0 means DefaultWorkerCount().
+  /// Worker threads, and so the number of units (slices) that run at once;
+  /// <= 0 means DefaultWorkerCount().
   int workers = 0;
   /// Lease execution sessions from the service's shared pool instead of
   /// allocating per campaign.
@@ -204,11 +204,11 @@ struct ServiceOptions {
   int exchange_interval = 0;
   /// Seeds each island exports per migration round.
   int migration_top_k = 2;
-  /// Executions a standalone job advances per scheduler round — the
-  /// progress/cancel granularity. Scheduling-only: the streamed campaign
-  /// suspends (never drains) at round boundaries, so results are identical
-  /// for any quantum (unlike islands' exchange_interval, which is a real
-  /// round barrier and part of the semantics). Clamped to >= 1.
+  /// Executions a standalone job advances per slice — the progress,
+  /// cancel and fair-share granularity. Scheduling-only: the streamed
+  /// campaign suspends (never drains) at slice boundaries, so results are
+  /// identical for any quantum (unlike islands' exchange_interval, which is
+  /// a real round barrier and part of the semantics). Clamped to >= 1.
   int round_quantum = 128;
 
   // -------------------------------------------- Admission & multi-tenancy --
@@ -218,23 +218,13 @@ struct ServiceOptions {
   size_t max_live_jobs = 0;
   /// Same bound per tenant. 0 = unbounded.
   size_t max_live_jobs_per_tenant = 0;
-  /// Standalone step slices the coordinator schedules per round. When more
-  /// jobs are ready than slots, tenants split the slots by deficit
-  /// fair-share: each round repeatedly picks the ready job whose tenant has
-  /// the least stepped work so far (ties: higher job priority, then lower
-  /// ticket), charging the tenant one quantum per pick. Island archipelago
-  /// rounds are barrier-coupled and never gated, but their stepped work is
-  /// charged to the tenant, deprioritizing its standalone jobs in turn.
-  /// Scheduling-only — results never depend on when a job's rounds ran.
-  /// 0 = no gate (every ready job steps every round).
-  int step_slots = 0;
   /// Emit a one-line metrics summary (executions/s, live jobs, queue
   /// depths, rejects, deadline hits) to stderr roughly this often, at
-  /// round boundaries. 0 = never.
+  /// slice boundaries. 0 = never.
   int metrics_log_interval_ms = 0;
-  /// Construct the coordinator paused: jobs are admitted (and admission
-  /// bounds enforced) but no round runs until Resume(). Lets tests build a
-  /// deterministic backlog before scheduling starts.
+  /// Construct the service paused: jobs are admitted (and admission
+  /// bounds enforced) but no worker picks a unit until Resume(). Lets
+  /// tests build a deterministic backlog before scheduling starts.
   bool start_paused = false;
 };
 
@@ -248,8 +238,9 @@ struct TenantStats {
   uint64_t cancelled = 0;      ///< completions via the cancel path
   uint64_t deadline_hits = 0;  ///< cancellations initiated by a deadline
   uint64_t executions = 0;     ///< finished + live snapshot executions
-  /// Fair-share deficit counter: executions' worth of step quanta charged
-  /// to the tenant so far (standalone quanta + island intervals).
+  /// Executions' worth of step slices charged to the tenant over its
+  /// lifetime (standalone quanta + island intervals). The fair-share
+  /// ordering key is kept separately (see FuzzService's scheduling model).
   uint64_t stepped_quanta = 0;
   size_t live_jobs = 0;    ///< admitted, not yet done (queue depth now)
   size_t queued_jobs = 0;  ///< live jobs whose campaign is not stepping yet
@@ -266,11 +257,12 @@ struct ServiceStats {
   uint64_t completed = 0;
   uint64_t cancelled = 0;
   uint64_t deadline_hits = 0;
-  uint64_t rounds = 0;  ///< coordinator rounds completed
+  uint64_t rounds = 0;  ///< step slices settled (standalone + island)
   size_t live_jobs = 0;
   size_t queued_jobs = 0;
   uint64_t executions = 0;  ///< finished jobs + live progress snapshots
-  /// Throughput over the recent round window (0 until two samples exist).
+  /// Throughput over the recent window: up to 64 samples taken at slice
+  /// boundaries at least 1 ms apart (0 until two samples exist).
   double executions_per_sec = 0;
   // Shared execution hub utilization (all zero without a shared hub).
   int hub_workers = 0;
@@ -287,24 +279,42 @@ struct ServiceStats {
 int DefaultWorkerCount();
 
 /// A long-lived streaming fuzzing engine: submit jobs at any time, watch
-/// their progress, cancel them, and collect outcomes — the service keeps a
-/// persistent WorkerPool busy with whatever campaign rounds are ready,
-/// interleaving standalone jobs and island archipelagos on the same
-/// threads (and, in pipelined mode, sharing one AsyncExecutionHub across
-/// every campaign).
+/// their progress, cancel them, and collect outcomes — the service's
+/// worker threads pull whatever campaign work is ready, standalone jobs
+/// and island archipelagos alike (and, in pipelined mode, share one
+/// AsyncExecutionHub across every campaign).
 ///
 /// ## Scheduling model
 ///
-/// A coordinator thread runs *rounds*: each round fans the ready work —
-/// compiles, seed corpora, standalone step slices (`round_quantum`
-/// executions via the campaign's suspended-pipeline streaming interface),
-/// island step rounds (`exchange_interval` executions, drained) — across
-/// the pool, then, behind the fork-join barrier, runs island migrations
-/// serially, snapshots progress, finalizes finished or cancelled jobs, and
-/// admits new submissions. Rounds are the only consistency barriers:
-/// Poll() serves the last between-rounds snapshot, and Cancel() takes
-/// effect at the next round boundary, finalizing a partial-but-valid
-/// result flagged `cancelled`.
+/// Each of the `workers` threads loops: under the service lock it picks the
+/// best ready *unit*, runs it outside the lock, then settles it and picks
+/// again in the same lock hold. A unit is a standalone setup (compile,
+/// construct, seed corpus), a step slice (`round_quantum` executions of the
+/// campaign's suspended-pipeline stream), an island member's compile,
+/// construct or step round (`exchange_interval` executions, drained), or a
+/// finalize. A job with a unit running is never picked.
+///
+/// Pick order: a pending finalize first; otherwise deficit fair share per
+/// slice. The tenant with the smallest ordering key wins, and its ready job
+/// with the highest priority, then the lowest ticket, runs (that job also
+/// breaks a tie between tenants). A step slice charges its executions to
+/// the tenant's key and to the lifetime `stepped_quanta` STATS reports;
+/// setup and finalize are free. A tenant going from no live job to one
+/// starts at the smallest key among live tenants: idle time banks no
+/// credit. So within one tenant a worker's next slice is usually the job it
+/// just ran (keeping that thread's transaction memo), jobs of equal
+/// priority complete in ticket order, and at most `workers` of the
+/// tenant's campaigns exist at once.
+///
+/// An island group advances in phases: all compiles, all constructs, then
+/// step rounds. The worker that settles a phase's last unit runs the
+/// group's seed migration (after a step phase) and opens the next phase.
+///
+/// Poll() serves the snapshot from the job's last slice boundary. Cancel()
+/// completes a never-started job at once; a running job stops at its next
+/// slice boundary and finalizes a partial-but-valid result flagged
+/// `cancelled`. Deadlines are checked at picks, at most once per
+/// millisecond and only while some live job has one.
 ///
 /// ## Determinism contract
 ///
@@ -312,7 +322,7 @@ int DefaultWorkerCount();
 /// fanout)` — independent of submission order, what else is running, worker
 /// count, scheduling, `round_quantum`, and other jobs being cancelled
 /// around it. A streamed job parks its whole speculative parent set (all K
-/// parents and their in-flight waves) across round boundaries, and Cancel
+/// parents and their in-flight waves) across slice boundaries, and Cancel
 /// drains that set — applying every submitted child in (parent rank, child
 /// index) order — before finalizing the partial result.
 /// An island member's result is a pure function of its *group's* jobs and
@@ -324,7 +334,7 @@ int DefaultWorkerCount();
 /// ## Threads
 ///
 /// Submit/Poll/Wait/Cancel are safe from any thread. Destruction cancels
-/// whatever is still running (at its round boundary) and joins.
+/// whatever is still running (at its slice boundary) and joins.
 class FuzzService {
  public:
   explicit FuzzService(ServiceOptions options = ServiceOptions());
@@ -351,7 +361,7 @@ class FuzzService {
   /// non-empty) admits no member.
   Result<GroupTicket> SubmitIslandGroup(std::vector<FuzzJob> jobs);
 
-  /// The job's latest between-rounds snapshot (final one once done;
+  /// The job's latest between-slices snapshot (final one once done;
   /// `state == kUnknown` for a ticket this service never issued).
   JobProgress Poll(JobTicket ticket) const;
 
@@ -364,7 +374,7 @@ class FuzzService {
   /// outcomes in ticket order (idempotent, like Wait).
   std::vector<JobOutcome> WaitAll();
 
-  /// Requests cancellation: the job stops at its next round boundary and
+  /// Requests cancellation: the job stops at its next slice boundary and
   /// finalizes a partial-but-valid result flagged `cancelled`. A job
   /// cancelled before its campaign ever started completes with an *empty*
   /// result and an explanatory error instead (the JobOutcome contract:
@@ -379,10 +389,10 @@ class FuzzService {
   void CancelGroup(const GroupTicket& group);
 
   /// Requests cancellation of every live job (the server-shutdown path:
-  /// unblocks Wait()ers bounded by one round per job).
+  /// unblocks Wait()ers bounded by one slice and a finalize per job).
   void CancelAll();
 
-  /// Starts the coordinator after a `start_paused` construction. Idempotent;
+  /// Starts the workers after a `start_paused` construction. Idempotent;
   /// no-op on a service that never paused.
   void Resume();
 
@@ -396,17 +406,18 @@ class FuzzService {
   size_t sessions_created() const { return session_pool_.created(); }
 
  private:
-  /// Coordinator-internal job lifecycle (JobState is the public view).
+  /// Internal job lifecycle (JobState is the public view).
   enum class Stage {
     kAdmitted,    ///< setup (standalone) or compile (island) pending
     kCompiled,    ///< island member compiled; waiting for the group sharder
     kConstruct,   ///< island member: construct + seed corpus pending
     kActive,      ///< stepping
-    kFinalizing,  ///< finalize task scheduled
+    kFinalizing,  ///< queued for (or running) its finalize
     kDone,
   };
 
   struct GroupRecord;
+  struct TenantRecord;
 
   struct JobRecord {
     JobTicket ticket = 0;
@@ -415,15 +426,17 @@ class FuzzService {
     Stage stage = Stage::kAdmitted;
     bool cancel_requested = false;
     bool finalize_cancelled = false;  ///< finalize via the cancel path
+    bool running = false;  ///< a worker holds one of its units
     JobProgress progress;
     JobOutcome outcome;
     double active_ms = 0;
-    int rounds = 0;  ///< completed standalone step rounds
+    int rounds = 0;  ///< completed standalone step slices
     std::string tenant;  ///< resolved ("" mapped to "default")
+    TenantRecord* tenant_record = nullptr;
     std::chrono::steady_clock::time_point admitted_at;
     bool deadline_hit = false;  ///< deadline expiry already counted
 
-    // Filled by setup tasks.
+    // Filled by setup units.
     std::optional<lang::ContractArtifact> compiled;
     const lang::ContractArtifact* artifact = nullptr;
     std::unique_ptr<evm::SessionBackend> session;       ///< pooled lease
@@ -436,28 +449,29 @@ class FuzzService {
     int island_id = -1;
   };
 
+  /// A tenant's ready jobs in pick order: higher priority, then lower
+  /// ticket.
+  struct ReadyOrder {
+    bool operator()(const JobRecord* a, const JobRecord* b) const {
+      return a->job.priority != b->job.priority
+                 ? a->job.priority > b->job.priority
+                 : a->ticket < b->ticket;
+    }
+  };
+
   struct GroupRecord {
     std::vector<JobRecord*> members;  ///< submission order
     std::unique_ptr<fuzzer::ShardedSeedScheduler> sharder;
     bool built = false;
     bool finished = false;
-    bool stepped_this_round = false;
+    bool stepped = false;  ///< a member stepped in the current phase
+    int pending = 0;       ///< members owing a unit in the current phase
     int migration_rounds = 0;
     int open_members = 0;  ///< members not yet kDone
   };
 
-  /// One coordinator round's plan: the tasks to fan across the pool plus
-  /// the records they belong to, bucketed for the settle phase.
-  struct RoundPlan {
-    std::vector<std::function<void()>> tasks;
-    std::vector<JobRecord*> compiles;  ///< island members compiling
-    std::vector<JobRecord*> setups;    ///< standalone setup / island construct
-    std::vector<JobRecord*> steps;     ///< stepped this round
-    std::vector<JobRecord*> finals;    ///< finalize tasks
-  };
-
-  /// Per-tenant accounting: admission counters for the metrics plane plus
-  /// the fair-share deficit (`stepped_quanta`) the step scheduler keys on.
+  /// Per-tenant accounting: admission counters for the metrics plane, the
+  /// fair-share ordering key, and the tenant's ready jobs.
   struct TenantRecord {
     uint64_t submitted = 0;
     uint64_t admitted = 0;
@@ -466,29 +480,51 @@ class FuzzService {
     uint64_t cancelled = 0;
     uint64_t deadline_hits = 0;
     uint64_t completed_executions = 0;
-    uint64_t stepped_quanta = 0;
+    uint64_t stepped_quanta = 0;  ///< lifetime charge (STATS)
+    uint64_t share_key = 0;       ///< fair-share ordering key
     size_t live = 0;
+    std::set<JobRecord*, ReadyOrder> ready;
   };
 
-  void CoordinatorMain();
-  /// Builds this round's task list (requires mu_). Tasks run outside the
-  /// lock; each touches only its own job record.
-  void PlanRoundLocked(RoundPlan* plan);
-  /// Post-barrier serial work (requires mu_): migrations, stage
-  /// transitions, snapshots, completion notifications.
-  void SettleRoundLocked(const RoundPlan& plan);
+  /// One worker thread: pick, run, settle, repeat until stopped and idle.
+  void WorkerMain();
+  /// Picks the job whose next unit runs and marks it running (requires
+  /// mu_); null when paused or nothing is ready. The job's stage names the
+  /// unit: kAdmitted a setup (standalone) or compile (island member),
+  /// kConstruct a construct, kActive a step slice, kFinalizing a finalize.
+  JobRecord* PickLocked();
+  /// Runs the job's unit with no lock held; touches only its own record.
+  void RunUnit(JobRecord* r);
+  /// Applies a finished unit (requires mu_): snapshots, stage changes,
+  /// group phases, completion.
+  void SettleLocked(JobRecord* r);
 
-  // Task bodies (run on pool workers, no lock held).
+  // Unit bodies (no lock held).
   /// Adopts the job's pre-compiled artifact or compiles its source; on
   /// failure leaves `artifact` null with the diagnostics in
   /// `outcome.error`.
   void ResolveArtifact(JobRecord* r);
-  void SetupStandalone(JobRecord* r);
-  void CompileIslandMember(JobRecord* r);
-  void ConstructIslandMember(JobRecord* r);
+  /// Binds a backend, constructs the campaign and runs its seed corpus.
+  void StartCampaign(JobRecord* r);
   void FinalizeJob(JobRecord* r);
 
+  // Ready bookkeeping (all require mu_).
+  void MakeReadyLocked(JobRecord* r);
+  void QueueFinalizeLocked(JobRecord* r, bool cancelled);
+  /// After a standalone setup or slice: finalize if finished or
+  /// cancelled, else ready for its next slice.
+  void ContinueStandaloneLocked(JobRecord* r);
+  /// Marks one of the group's current-phase units settled; the last one
+  /// advances the group.
+  void PhaseUnitDoneLocked(GroupRecord* group);
+  /// Ends a group phase: builds the sharder or runs a migration, then
+  /// opens the next phase or finishes the group.
+  void AdvanceGroupLocked(GroupRecord* group);
   void BuildSharderLocked(GroupRecord* group);
+  /// Sets cancel_requested and applies it at once when no unit of the job
+  /// is running; a running job applies it when the unit settles.
+  void RequestCancelLocked(JobRecord* r);
+
   void SnapshotProgressLocked(JobRecord* r);
   void MarkDoneLocked(JobRecord* r);
   /// Completes a job that was cancelled before its campaign ever ran:
@@ -496,40 +532,52 @@ class FuzzService {
   void CancelBeforeStartLocked(JobRecord* r);
   Status ValidateSubmission(const FuzzJob& job) const;
   fuzzer::CampaignConfig EffectiveConfig(const FuzzJob& job) const;
-  bool AllDoneLocked() const;
-  /// Admission gate: checks the global and per-tenant live-job bounds for
-  /// `incoming` more jobs of `tenant`, counting the attempt (and any
-  /// rejection) in the metrics plane.
-  Status AdmitLocked(const std::string& tenant, size_t incoming);
-  /// Marks the job cancel-requested when its deadline expired (counted once).
-  void CheckDeadlineLocked(JobRecord* r,
-                           std::chrono::steady_clock::time_point now);
+  /// All-or-nothing admission gate: checks the global and per-tenant
+  /// live-job bounds for `per_tenant` more jobs, counting the attempts
+  /// (and any rejection) in the metrics plane.
+  Status AdmitLocked(const std::map<std::string, size_t>& per_tenant);
+  /// Counts `incoming` admitted jobs live for `tenant`; a tenant going
+  /// from none to some starts at the smallest live tenant's share key.
+  void GoLiveLocked(TenantRecord* tenant, size_t incoming);
+  /// Builds, registers and readies one admitted job's record.
+  JobRecord* AddRecordLocked(FuzzJob job, std::string tenant,
+                             GroupRecord* group);
+  /// Cancels every live job whose deadline has expired.
+  void SweepDeadlinesLocked(std::chrono::steady_clock::time_point now);
   /// Finished + live-snapshot executions across all jobs.
-  uint64_t TotalExecutionsLocked() const;
-  /// Appends a throughput sample and emits the periodic metrics log line.
-  void SampleRoundLocked(std::chrono::steady_clock::time_point now);
+  uint64_t TotalExecutionsLocked() const {
+    return completed_executions_ + live_executions_;
+  }
+  /// Appends a throughput sample (at most one per millisecond) and emits
+  /// the periodic metrics log line.
+  void SampleLocked(std::chrono::steady_clock::time_point now);
   ServiceStats StatsLocked() const;
 
   ServiceOptions options_;
   int workers_ = 1;
   evm::SessionPool session_pool_;
   std::unique_ptr<evm::AsyncExecutionHub> hub_;  ///< shared pipelined mode
-  std::unique_ptr<WorkerPool> pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< coordinator: submissions / stop
+  std::condition_variable work_cv_;  ///< idle workers: new ready work / stop
   std::condition_variable done_cv_;  ///< waiters: a job reached kDone
   std::map<JobTicket, std::unique_ptr<JobRecord>> jobs_;
   std::vector<std::unique_ptr<GroupRecord>> groups_;
-  /// Records not yet kDone / groups not yet retired: what the coordinator
-  /// actually scans each round, so a long-lived service pays per-round
-  /// cost proportional to *active* work, not to everything ever submitted
-  /// (jobs_ retains outcomes for Wait-idempotence).
+  /// Records not yet kDone (jobs_ retains outcomes for Wait-idempotence).
   std::map<JobTicket, JobRecord*> live_jobs_;
-  std::vector<GroupRecord*> live_groups_;
+  /// Tenants with live jobs: what a pick scans.
+  std::vector<TenantRecord*> live_tenants_;
+  /// Jobs whose next unit is a finalize, picked before any slice.
+  std::deque<JobRecord*> finals_;
+  size_t ready_units_ = 0;  ///< ready-set entries + finals_
+  int idle_workers_ = 0;    ///< workers waiting on work_cv_
   JobTicket next_ticket_ = 1;
   bool stop_ = false;
   bool paused_ = false;  ///< start_paused and Resume() not called yet
+  /// Live jobs whose deadline has not fired; deadlines are swept only
+  /// while this is non-zero.
+  size_t deadline_jobs_ = 0;
+  std::chrono::steady_clock::time_point last_deadline_sweep_;
 
   // Metrics plane (all guarded by mu_). tenants_ is insert-only: a tenant's
   // counters survive its last job so STATS stays a lifetime view.
@@ -542,13 +590,14 @@ class FuzzService {
   uint64_t cancelled_total_ = 0;
   uint64_t deadline_hits_ = 0;
   uint64_t completed_executions_ = 0;
-  uint64_t rounds_done_ = 0;
+  uint64_t live_executions_ = 0;  ///< sum of live jobs' snapshots
+  uint64_t slices_ = 0;           ///< settled step slices
   /// (time, total executions) ring for the executions/s window.
   std::deque<std::pair<std::chrono::steady_clock::time_point, uint64_t>>
       rate_samples_;
   std::chrono::steady_clock::time_point last_metrics_log_;
 
-  std::thread coordinator_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace mufuzz::engine

@@ -110,7 +110,7 @@ class Campaign {
   CampaignResult Run();
 
   // ------------------------------------------------------------------------
-  // Stepped interface — the island coordinator's view. Call SeedCorpus()
+  // Stepped interface — the island scheduler's view. Call SeedCorpus()
   // once, StepRound() until Done() (migrating seeds between rounds), then
   // Finalize() once.
   // ------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "lang/lexer.h"
 
-#include <cctype>
 #include <unordered_map>
 
 namespace mufuzz::lang {
@@ -46,6 +45,16 @@ const std::unordered_map<std::string_view, TokenKind>& KeywordTable() {
       {"ether", TokenKind::kEther},
   };
   return *table;
+}
+
+// ASCII classes: the <cctype> ones in the "C" locale, without a locale
+// lookup per character.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsAlpha(char c) { return (c | 0x20) >= 'a' && (c | 0x20) <= 'z'; }
+bool IsIdentChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+bool IsHexDigit(char c) {
+  return IsDigit(c) || ((c | 0x20) >= 'a' && (c | 0x20) <= 'f');
 }
 
 }  // namespace
@@ -125,6 +134,8 @@ const char* TokenKindName(TokenKind kind) {
 
 Result<std::vector<Token>> Tokenize(std::string_view source) {
   std::vector<Token> tokens;
+  // MiniSol averages well over four source bytes per token.
+  tokens.reserve(source.size() / 4 + 1);
   size_t i = 0;
   int line = 1;
   int column = 1;
@@ -140,28 +151,33 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       ++i;
     }
   };
+  /// Skips `n` characters known to hold no newline.
+  auto skip = [&](size_t n) {
+    i += n;
+    column += static_cast<int>(n);
+  };
   auto peek = [&](size_t off = 0) -> char {
     return (i + off < source.size()) ? source[i + off] : '\0';
   };
-  auto push = [&](TokenKind kind, std::string text, int tok_line,
+  auto push = [&](TokenKind kind, std::string_view text, int tok_line,
                   int tok_col) {
-    tokens.push_back({kind, std::move(text), tok_line, tok_col});
+    tokens.push_back({kind, text, tok_line, tok_col});
   };
 
   while (i < source.size()) {
     char c = peek();
     // Whitespace.
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       advance();
       continue;
     }
     // Comments.
     if (c == '/' && peek(1) == '/') {
-      while (i < source.size() && peek() != '\n') advance();
+      while (i < source.size() && peek() != '\n') skip(1);
       continue;
     }
     if (c == '/' && peek(1) == '*') {
-      advance(2);
+      skip(2);
       while (i < source.size() && !(peek() == '*' && peek(1) == '/')) {
         advance();
       }
@@ -169,111 +185,100 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
         return Status::ParseError("unterminated block comment at line " +
                                   std::to_string(line));
       }
-      advance(2);
+      skip(2);
       continue;
     }
 
     int tok_line = line;
     int tok_col = column;
+    size_t start = i;
 
     // Identifiers & keywords.
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < source.size() &&
-             (std::isalnum(static_cast<unsigned char>(peek())) ||
-              peek() == '_')) {
-        advance();
-      }
+    if (IsAlpha(c) || c == '_') {
+      while (i < source.size() && IsIdentChar(source[i])) skip(1);
       std::string_view word = source.substr(start, i - start);
       auto it = KeywordTable().find(word);
-      if (it != KeywordTable().end()) {
-        push(it->second, std::string(word), tok_line, tok_col);
-      } else {
-        push(TokenKind::kIdent, std::string(word), tok_line, tok_col);
-      }
+      push(it != KeywordTable().end() ? it->second : TokenKind::kIdent, word,
+           tok_line, tok_col);
       continue;
     }
 
     // Numbers (decimal or 0x-hex).
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = i;
+    if (IsDigit(c)) {
       if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-        advance(2);
-        while (i < source.size() &&
-               std::isxdigit(static_cast<unsigned char>(peek()))) {
-          advance();
-        }
+        skip(2);
+        while (i < source.size() && IsHexDigit(source[i])) skip(1);
       } else {
-        while (i < source.size() &&
-               std::isdigit(static_cast<unsigned char>(peek()))) {
-          advance();
-        }
+        while (i < source.size() && IsDigit(source[i])) skip(1);
       }
-      push(TokenKind::kNumber, std::string(source.substr(start, i - start)),
-           tok_line, tok_col);
+      push(TokenKind::kNumber, source.substr(start, i - start), tok_line,
+           tok_col);
       continue;
     }
 
     // Strings (require messages — content kept but unused downstream).
     if (c == '"') {
-      advance();
-      size_t start = i;
-      while (i < source.size() && peek() != '"' && peek() != '\n') advance();
+      skip(1);
+      start = i;
+      while (i < source.size() && peek() != '"' && peek() != '\n') skip(1);
       if (peek() != '"') {
         return Status::ParseError("unterminated string at line " +
                                   std::to_string(tok_line));
       }
-      push(TokenKind::kString, std::string(source.substr(start, i - start)),
-           tok_line, tok_col);
-      advance();
+      push(TokenKind::kString, source.substr(start, i - start), tok_line,
+           tok_col);
+      skip(1);
       continue;
     }
 
     // Operators / punctuation.
-    auto two = [&](char a, char b) { return c == a && peek(1) == b; };
-    if (two('=', '>')) { push(TokenKind::kArrow, "=>", tok_line, tok_col); advance(2); continue; }
-    if (two('=', '=')) { push(TokenKind::kEq, "==", tok_line, tok_col); advance(2); continue; }
-    if (two('!', '=')) { push(TokenKind::kNe, "!=", tok_line, tok_col); advance(2); continue; }
-    if (two('<', '=')) { push(TokenKind::kLe, "<=", tok_line, tok_col); advance(2); continue; }
-    if (two('>', '=')) { push(TokenKind::kGe, ">=", tok_line, tok_col); advance(2); continue; }
-    if (two('&', '&')) { push(TokenKind::kAndAnd, "&&", tok_line, tok_col); advance(2); continue; }
-    if (two('|', '|')) { push(TokenKind::kOrOr, "||", tok_line, tok_col); advance(2); continue; }
-    if (two('+', '=')) { push(TokenKind::kPlusAssign, "+=", tok_line, tok_col); advance(2); continue; }
-    if (two('-', '=')) { push(TokenKind::kMinusAssign, "-=", tok_line, tok_col); advance(2); continue; }
-    if (two('*', '=')) { push(TokenKind::kStarAssign, "*=", tok_line, tok_col); advance(2); continue; }
-    if (two('+', '+')) { push(TokenKind::kPlusPlus, "++", tok_line, tok_col); advance(2); continue; }
-    if (two('-', '-')) { push(TokenKind::kMinusMinus, "--", tok_line, tok_col); advance(2); continue; }
-
     TokenKind kind;
-    switch (c) {
-      case '{': kind = TokenKind::kLBrace; break;
-      case '}': kind = TokenKind::kRBrace; break;
-      case '(': kind = TokenKind::kLParen; break;
-      case ')': kind = TokenKind::kRParen; break;
-      case '[': kind = TokenKind::kLBracket; break;
-      case ']': kind = TokenKind::kRBracket; break;
-      case ';': kind = TokenKind::kSemicolon; break;
-      case ',': kind = TokenKind::kComma; break;
-      case '.': kind = TokenKind::kDot; break;
-      case '=': kind = TokenKind::kAssign; break;
-      case '+': kind = TokenKind::kPlus; break;
-      case '-': kind = TokenKind::kMinus; break;
-      case '*': kind = TokenKind::kStar; break;
-      case '/': kind = TokenKind::kSlash; break;
-      case '%': kind = TokenKind::kPercent; break;
-      case '<': kind = TokenKind::kLt; break;
-      case '>': kind = TokenKind::kGt; break;
-      case '!': kind = TokenKind::kBang; break;
-      default:
-        return Status::ParseError("unexpected character '" +
-                                  std::string(1, c) + "' at line " +
-                                  std::to_string(tok_line));
+    size_t width = 2;
+    const char next = peek(1);
+    if (c == '=' && next == '>') kind = TokenKind::kArrow;
+    else if (c == '=' && next == '=') kind = TokenKind::kEq;
+    else if (c == '!' && next == '=') kind = TokenKind::kNe;
+    else if (c == '<' && next == '=') kind = TokenKind::kLe;
+    else if (c == '>' && next == '=') kind = TokenKind::kGe;
+    else if (c == '&' && next == '&') kind = TokenKind::kAndAnd;
+    else if (c == '|' && next == '|') kind = TokenKind::kOrOr;
+    else if (c == '+' && next == '=') kind = TokenKind::kPlusAssign;
+    else if (c == '-' && next == '=') kind = TokenKind::kMinusAssign;
+    else if (c == '*' && next == '=') kind = TokenKind::kStarAssign;
+    else if (c == '+' && next == '+') kind = TokenKind::kPlusPlus;
+    else if (c == '-' && next == '-') kind = TokenKind::kMinusMinus;
+    else {
+      width = 1;
+      switch (c) {
+        case '{': kind = TokenKind::kLBrace; break;
+        case '}': kind = TokenKind::kRBrace; break;
+        case '(': kind = TokenKind::kLParen; break;
+        case ')': kind = TokenKind::kRParen; break;
+        case '[': kind = TokenKind::kLBracket; break;
+        case ']': kind = TokenKind::kRBracket; break;
+        case ';': kind = TokenKind::kSemicolon; break;
+        case ',': kind = TokenKind::kComma; break;
+        case '.': kind = TokenKind::kDot; break;
+        case '=': kind = TokenKind::kAssign; break;
+        case '+': kind = TokenKind::kPlus; break;
+        case '-': kind = TokenKind::kMinus; break;
+        case '*': kind = TokenKind::kStar; break;
+        case '/': kind = TokenKind::kSlash; break;
+        case '%': kind = TokenKind::kPercent; break;
+        case '<': kind = TokenKind::kLt; break;
+        case '>': kind = TokenKind::kGt; break;
+        case '!': kind = TokenKind::kBang; break;
+        default:
+          return Status::ParseError("unexpected character '" +
+                                    std::string(1, c) + "' at line " +
+                                    std::to_string(tok_line));
+      }
     }
-    push(kind, std::string(1, c), tok_line, tok_col);
-    advance();
+    push(kind, source.substr(start, width), tok_line, tok_col);
+    skip(width);
   }
 
-  push(TokenKind::kEof, "", line, column);
+  push(TokenKind::kEof, source.substr(source.size()), line, column);
   return tokens;
 }
 

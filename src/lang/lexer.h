@@ -10,7 +10,8 @@
 namespace mufuzz::lang {
 
 /// Tokenizes MiniSol source. Handles //-comments and /* */-comments,
-/// decimal and hex number literals, and double-quoted strings.
+/// decimal and hex number literals, and double-quoted strings. Every
+/// token's `text` views `source`, which must outlive the tokens.
 Result<std::vector<Token>> Tokenize(std::string_view source);
 
 }  // namespace mufuzz::lang

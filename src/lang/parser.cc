@@ -62,7 +62,7 @@ class Parser {
                                 TokenKindName(Peek().kind) + " at line " +
                                 std::to_string(Peek().line));
     }
-    return Advance().text;
+    return std::string(Advance().text);
   }
   Status Err(const std::string& msg) const {
     return Status::ParseError(msg + " at line " +
@@ -508,7 +508,7 @@ class Parser {
     int line = Peek().line;
     std::string member;
     if (Check(TokenKind::kIdent)) {
-      member = Advance().text;
+      member = std::string(Advance().text);
     } else {
       return Err("expected member name after '.'");
     }
@@ -601,7 +601,7 @@ class Parser {
     int line = Peek().line;
 
     if (Check(TokenKind::kNumber)) {
-      std::string text = Advance().text;
+      const std::string_view text = Advance().text;
       Result<U256> value = (text.size() > 2 && text[1] == 'x')
                                ? U256::FromHex(text)
                                : U256::FromDecimal(text);
@@ -638,7 +638,7 @@ class Parser {
         Check(TokenKind::kTx) || Check(TokenKind::kAbi)) {
       // Magic bases: resolved by the following member access.
       auto expr = std::make_unique<IdentExpr>();
-      expr->name = Advance().text;
+      expr->name = std::string(Advance().text);
       expr->line = line;
       magic_bases_.push_back(expr.get());
       return ExprPtr(std::move(expr));
@@ -669,7 +669,7 @@ class Parser {
     }
     if (Check(TokenKind::kIdent)) {
       auto expr = std::make_unique<IdentExpr>();
-      expr->name = Advance().text;
+      expr->name = std::string(Advance().text);
       expr->line = line;
       return ExprPtr(std::move(expr));
     }

@@ -2,7 +2,7 @@
 #define MUFUZZ_LANG_TOKEN_H_
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace mufuzz::lang {
 
@@ -87,7 +87,10 @@ const char* TokenKindName(TokenKind kind);
 
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;  ///< raw spelling (identifier name, number digits)
+  /// Raw spelling (identifier name, number digits, string contents): a
+  /// view into the tokenized source, valid only while that source lives.
+  /// The parser copies what it keeps into the AST.
+  std::string_view text;
   int line = 0;
   int column = 0;
 };

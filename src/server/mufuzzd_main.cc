@@ -1,6 +1,6 @@
 // mufuzzd — the networked fuzzing daemon. Binds a MufuzzServer over one
 // FuzzService and runs until SIGINT/SIGTERM. All scheduling knobs (workers,
-// admission bounds, fair-share slots, metrics cadence) are flags; the
+// admission bounds, slice quantum, metrics cadence) are flags; the
 // execution-semantics knobs arrive per job over the wire, so the daemon
 // itself never perturbs the reproducibility key.
 
@@ -29,7 +29,6 @@ void Usage(const char* argv0) {
       "  --backend-workers N   async execution workers; 0 = in-thread\n"
       "  --max-live-jobs N     global admission bound; 0 = unbounded\n"
       "  --max-live-jobs-per-tenant N   per-tenant bound; 0 = unbounded\n"
-      "  --step-slots N        fair-share step slices per round; 0 = all\n"
       "  --round-quantum N     executions per standalone step slice\n"
       "  --metrics-interval-ms N   stderr metrics line cadence; 0 = never\n",
       argv0);
@@ -81,8 +80,6 @@ int main(int argc, char** argv) {
       options.service.max_live_jobs = static_cast<size_t>(n);
     } else if (flag == "--max-live-jobs-per-tenant") {
       options.service.max_live_jobs_per_tenant = static_cast<size_t>(n);
-    } else if (flag == "--step-slots") {
-      options.service.step_slots = static_cast<int>(n);
     } else if (flag == "--round-quantum") {
       options.service.round_quantum = static_cast<int>(n);
     } else if (flag == "--metrics-interval-ms") {

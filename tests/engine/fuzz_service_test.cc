@@ -317,7 +317,7 @@ TEST(FuzzServiceDeterminismTest, BatchStreamAndCancelledStreamAgree) {
 }
 
 TEST(FuzzServiceDeterminismTest, RoundQuantumNeverChangesResults) {
-  // The streamed campaign suspends (never drains) at round boundaries, so
+  // The streamed campaign suspends (never drains) at slice boundaries, so
   // the progress/cancel granularity is invisible to results — streamed
   // output equals a plain serial RunCampaign for any quantum.
   FuzzJob job = MakeJob("q", corpus::CrowdsaleExample().source, 7, 150);
@@ -499,7 +499,7 @@ TEST(FuzzServiceLifecycleTest, DestructionCancelsOutstandingJobs) {
                                      100 + i, 1000000))
                     .ok());
   }
-  service.reset();  // must stop at round boundaries and join, not hang
+  service.reset();  // must stop at slice boundaries and join, not hang
 }
 
 // ---------------------------------------------------------------------------
@@ -611,8 +611,8 @@ TEST(FuzzServiceIslandTest, CancelGroupFinishesEveryMember) {
 }
 
 TEST(FuzzServiceMixedTest, StandaloneStreamAndIslandRoundsInterleave) {
-  // The round scheduler runs standalone slices and island rounds in the
-  // same fan-outs; both kinds must finish and match their isolated runs.
+  // The workers run standalone slices and island rounds from one pick
+  // order; both kinds must finish and match their isolated runs.
   ServiceOptions options;
   options.workers = 2;
   options.exchange_interval = 40;

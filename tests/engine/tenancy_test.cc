@@ -159,17 +159,15 @@ TEST(TenancyTest, IslandGroupAdmissionIsAllOrNothing) {
 }
 
 TEST(TenancyTest, FairShareOrderingIsDeterministic) {
-  // One step slot per round makes the deficit schedule fully observable:
-  // each round steps exactly one standalone job, and first_step_round
-  // records when each job got its first slice. With tenants {a: 2 jobs,
-  // b: 1 job} submitted a1, a2, b1, the deficit rule must open with a1
-  // (all-zero tie → lowest ticket), hand the next fresh slot to b1 (a is
-  // now charged), and start a2 only later — a1 keeps beating it on the
-  // ticket tie-break inside tenant a.
+  // One worker makes the deficit schedule fully observable: exactly one
+  // slice runs at a time, and first_step_round records when each job got
+  // its first slice. With tenants {a: 2 jobs, b: 1 job} submitted a1, a2,
+  // b1, the deficit rule must open with a1 (all-zero tie → lowest ticket),
+  // hand the next slice to b1 (a is now charged), and start a2 only later
+  // — a1 keeps beating it on the ticket tie-break inside tenant a.
   ServiceOptions options;
-  options.workers = 2;
+  options.workers = 1;
   options.round_quantum = 24;
-  options.step_slots = 1;
   options.start_paused = true;
   FuzzService service(options);
 
@@ -189,8 +187,8 @@ TEST(TenancyTest, FairShareOrderingIsDeterministic) {
   EXPECT_LT(first_a1, first_b1);
   EXPECT_LT(first_b1, first_a2);
 
-  // Gating changed only the schedule: every result still matches the
-  // ungated serial reference.
+  // Fair share changed only the schedule: every result still matches the
+  // serial reference.
   EXPECT_EQ(Reference(TenantJob("a", 1)), *service.Wait(*a1).result);
   EXPECT_EQ(Reference(TenantJob("a", 2)), *service.Wait(*a2).result);
   EXPECT_EQ(Reference(TenantJob("b", 3)), *service.Wait(*b1).result);
@@ -211,9 +209,8 @@ TEST(TenancyTest, PriorityBreaksTiesWithinATenant) {
   // Same tenant, same deficit — the higher-priority job must step first
   // even though it got the later ticket.
   ServiceOptions options;
-  options.workers = 2;
+  options.workers = 1;
   options.round_quantum = 24;
-  options.step_slots = 1;
   options.start_paused = true;
   FuzzService service(options);
 
@@ -267,8 +264,8 @@ TEST(TenancyTest, DeadlineExpiryCancelsMidRun) {
 }
 
 TEST(TenancyTest, DeadlineBeforeStartLeavesResultEmpty) {
-  // The coordinator is paused while the 1ms deadline lapses, so the very
-  // first round finds the job expired before any campaign ran — per the
+  // The service is paused while the 1ms deadline lapses, so the very
+  // first pick finds the job expired before any campaign ran — per the
   // JobOutcome contract that must yield an *empty* result with an
   // explanatory error, never a zero-coverage row.
   ServiceOptions options;

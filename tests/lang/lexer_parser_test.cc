@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "corpus/builtin.h"
 #include "lang/compiler.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
@@ -96,6 +99,74 @@ TEST(LexerTest, LineNumbersTracked) {
 
 TEST(LexerTest, RejectsUnknownCharacters) {
   EXPECT_FALSE(Tokenize("a $ b").ok());
+}
+
+TEST(LexerTest, TokenTextViewsTheSource) {
+  // Tokens carry no copies: every spelling, the end-of-file token's empty
+  // one included, is a view into the tokenized buffer at the token's
+  // position.
+  const std::string source =
+      "contract C {\n  uint256 x = 0x1f; // note\n"
+      "  function f() public { require(x >= 2, \"msg\"); x += 1; }\n}";
+  auto tokens = Tokenize(source);
+  ASSERT_TRUE(tokens.ok());
+  const char* begin = source.data();
+  const char* end = begin + source.size();
+  for (const Token& tok : tokens.value()) {
+    EXPECT_GE(tok.text.data(), begin) << TokenKindName(tok.kind);
+    EXPECT_LE(tok.text.data() + tok.text.size(), end)
+        << TokenKindName(tok.kind);
+  }
+  const Token& number = tokens.value()[6];
+  ASSERT_EQ(number.kind, TokenKind::kNumber);
+  EXPECT_EQ(number.text.data(), begin + source.find("0x1f"));
+  EXPECT_EQ(number.text, "0x1f");
+  auto message = std::find_if(
+      tokens.value().begin(), tokens.value().end(),
+      [](const Token& t) { return t.kind == TokenKind::kString; });
+  ASSERT_NE(message, tokens.value().end());
+  EXPECT_EQ(message->text.data(), begin + source.find("msg"));
+  EXPECT_EQ(tokens.value().back().kind, TokenKind::kEof);
+  EXPECT_EQ(tokens.value().back().text.data(), end);
+}
+
+TEST(CompilerTest, ArtifactOutlivesTheSourceBuffer) {
+  // The compiler reads the source through views, so everything the
+  // artifact keeps must be copied out: overwriting and then freeing the
+  // buffer leaves every ABI name and signature as a pristine compile has
+  // them (and under ASan, a kept view would be a use-after-free).
+  const std::string pristine = corpus::CrowdsaleExample().source;
+  auto expected = CompileContract(pristine);
+  ASSERT_TRUE(expected.ok());
+
+  std::string buffer = pristine;
+  auto artifact = CompileContract(buffer);
+  ASSERT_TRUE(artifact.ok());
+  std::fill(buffer.begin(), buffer.end(), '#');
+  buffer.clear();
+  buffer.shrink_to_fit();
+
+  const ContractAbi& abi = artifact.value().abi;
+  const ContractAbi& want = expected.value().abi;
+  EXPECT_EQ(artifact.value().name, expected.value().name);
+  EXPECT_EQ(abi.contract_name, want.contract_name);
+  ASSERT_EQ(abi.functions.size(), want.functions.size());
+  for (size_t i = 0; i < abi.functions.size(); ++i) {
+    EXPECT_EQ(abi.functions[i].name, want.functions[i].name);
+    EXPECT_EQ(abi.functions[i].signature, want.functions[i].signature);
+    EXPECT_EQ(abi.functions[i].selector, want.functions[i].selector);
+    ASSERT_EQ(abi.functions[i].inputs.size(), want.functions[i].inputs.size());
+    for (size_t k = 0; k < abi.functions[i].inputs.size(); ++k) {
+      EXPECT_EQ(abi.functions[i].inputs[k].name,
+                want.functions[i].inputs[k].name);
+    }
+  }
+  ASSERT_EQ(abi.constructor_inputs.size(), want.constructor_inputs.size());
+  for (size_t k = 0; k < abi.constructor_inputs.size(); ++k) {
+    EXPECT_EQ(abi.constructor_inputs[k].name, want.constructor_inputs[k].name);
+  }
+  EXPECT_EQ(artifact.value().runtime_code, expected.value().runtime_code);
+  EXPECT_EQ(artifact.value().ctor_code, expected.value().ctor_code);
 }
 
 // ----------------------------------------------------------------- Parser --
